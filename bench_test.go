@@ -333,7 +333,7 @@ func BenchmarkCostModel(b *testing.B) {
 // all, so there is no like-for-like baseline; the gate is the
 // benchmark's own history (results/BENCH_pr7.json onward) plus the
 // serial-vs-parallel identity contract (Workers changes wall-clock,
-// never the scheme — see internal/partition/refine_parallel.go).
+// never the scheme — see internal/partition/scan.go).
 func benchMultilevelHuge(b *testing.B, design, workers int) {
 	b.Helper()
 	d := synthetic.GenerateHuge(1, design+1)[design]

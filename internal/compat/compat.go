@@ -105,16 +105,3 @@ func (t *Table) Mask(i int) Mask { return t.masks[i] }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.masks) }
-
-// GroupCompatible reports whether every entry in ga is compatible with
-// every entry in gb — the condition for merging two region groups.
-func (t *Table) GroupCompatible(ga, gb []int) bool {
-	for _, i := range ga {
-		for _, j := range gb {
-			if !t.Compatible(i, j) {
-				return false
-			}
-		}
-	}
-	return true
-}

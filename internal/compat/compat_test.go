@@ -115,13 +115,6 @@ func TestTable(t *testing.T) {
 	if tab.Compatible(0, 2) {
 		t.Error("A1/B1 should be table-incompatible")
 	}
-	// Group {A1} with group {A2,B1}: A1-B1 conflict blocks the merge.
-	if tab.GroupCompatible([]int{0}, []int{1, 2}) {
-		t.Error("group merge should be blocked by A1-B1")
-	}
-	if !tab.GroupCompatible([]int{0}, []int{1}) {
-		t.Error("group {A1} and {A2} should merge")
-	}
 	if tab.Mask(3).Count() != 4 {
 		t.Errorf("B2 mask count = %d, want 4", tab.Mask(3).Count())
 	}

@@ -207,7 +207,7 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 		var cres *partition.Result
 		cres, err = partition.SolveContext(ctx, cd, o.Partition)
 		if err == nil {
-			g = schemeGrouping(cres.Scheme)
+			g = schemeGrouping(cres.Scheme, top)
 			st.CoarseSolved = true
 		}
 	}
@@ -219,8 +219,8 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	// Uncoarsen: refine at every level, projecting downward. Each
 	// level's refinement inherits the partition worker count: its move
 	// scan shards across up to that many workers (coarse levels with
-	// few regions fall back to the single-pass scan below the sharding
-	// threshold — see partition/refine_parallel.go). The gauge records
+	// few regions scan as one shard below the sharding threshold — see
+	// partition/scan.go). The gauge records
 	// the resolved count; per-level timers attribute the wall-clock win
 	// per level in prbench traces.
 	stopRefine := ob.Timer("multilevel.phase.refine").Time()

@@ -61,25 +61,42 @@ func coarseDesign(d *design.Design, lv *level) (*design.Design, error) {
 	return cd, nil
 }
 
-// schemeGrouping maps a coarse-design scheme back to a grouping over
-// the level's nodes: each region's parts reference coarse modules,
-// whose indices are node indices.
-func schemeGrouping(sch *scheme.Scheme) grouping {
+// schemeGrouping maps a coarse-design scheme of level lv back to a
+// grouping over lv's nodes: each region's parts reference coarse
+// modules, whose indices are node indices. Two things keep the result
+// a valid warm start. The scheme's candidate parts may overlap
+// (cover.Sets can keep a part that shares nodes with another), so one
+// node can sit in two regions, or in a region and in static logic:
+// each node is kept at its first placement — regions in scheme order,
+// then static — and a region left empty is dropped. And a multi-node
+// part holds nodes that co-activate, which may share a region as one
+// part but not as separate nodes: each region's nodes are re-packed
+// into pairwise-compatible subgroups (see pack), sorted. A region whose
+// nodes are already compatible maps to one group, exactly as before.
+func schemeGrouping(sch *scheme.Scheme, lv *level) grouping {
 	var g grouping
-	for _, reg := range sch.Regions {
-		var ids []int
-		for _, p := range reg.Parts {
-			for _, r := range p.Set.Refs() {
+	placed := make([]bool, len(lv.nodes))
+	take := func(ids []int, p basepart.BasePartition) []int {
+		for _, r := range p.Set.Refs() {
+			if !placed[r.Module] {
+				placed[r.Module] = true
 				ids = append(ids, r.Module)
 			}
 		}
-		sort.Ints(ids)
-		g.groups = append(g.groups, ids)
+		return ids
+	}
+	for _, reg := range sch.Regions {
+		var ids []int
+		for _, p := range reg.Parts {
+			ids = take(ids, p)
+		}
+		for _, sub := range pack(lv, ids) {
+			sort.Ints(sub)
+			g.groups = append(g.groups, sub)
+		}
 	}
 	for _, p := range sch.Static {
-		for _, r := range p.Set.Refs() {
-			g.static = append(g.static, r.Module)
-		}
+		g.static = take(g.static, p)
 	}
 	sort.Ints(g.static)
 	return g
@@ -90,10 +107,8 @@ func schemeGrouping(sch *scheme.Scheme) grouping {
 // may be mutually incompatible with children of another (contraction
 // merges wrapper-style: constituents co-reside, they don't co-activate
 // with siblings' constituents), so each coarse region's child set is
-// re-packed first-fit into pairwise-compatible subgroups: children are
-// taken largest-frames-first and each lands in the first subgroup whose
-// accumulated configuration mask it does not intersect. Static coarse
-// nodes project losslessly — static capacity is additive.
+// re-packed into pairwise-compatible subgroups. Static coarse nodes
+// project losslessly — static capacity is additive.
 func project(fine, lv *level, g grouping) grouping {
 	children := make([][]int, len(lv.nodes))
 	for i, id := range lv.from {
@@ -105,38 +120,46 @@ func project(fine, lv *level, g grouping) grouping {
 		for _, id := range grp {
 			kids = append(kids, children[id]...)
 		}
-		sort.Slice(kids, func(a, b int) bool {
-			fa := device.Frames(fine.nodes[kids[a]].res)
-			fb := device.Frames(fine.nodes[kids[b]].res)
-			if fa != fb {
-				return fa > fb
-			}
-			return kids[a] < kids[b]
-		})
-		var subs [][]int
-		var masks []maskAcc
-		for _, kid := range kids {
-			placed := false
-			for si := range subs {
-				if !masks[si].intersects(fine.nodes[kid].mask) {
-					subs[si] = append(subs[si], kid)
-					masks[si].or(fine.nodes[kid].mask)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				subs = append(subs, []int{kid})
-				masks = append(masks, newMaskAcc(fine.nodes[kid].mask))
-			}
-		}
-		out.groups = append(out.groups, subs...)
+		out.groups = append(out.groups, pack(fine, kids)...)
 	}
 	for _, id := range g.static {
 		out.static = append(out.static, children[id]...)
 	}
 	sort.Ints(out.static)
 	return out
+}
+
+// pack splits nodes of lv into pairwise-compatible subgroups, first
+// fit: nodes are taken largest-frames-first (ties by index) and each
+// lands in the first subgroup whose accumulated configuration mask it
+// does not intersect. ids is reordered in place.
+func pack(lv *level, ids []int) [][]int {
+	sort.Slice(ids, func(a, b int) bool {
+		fa := device.Frames(lv.nodes[ids[a]].res)
+		fb := device.Frames(lv.nodes[ids[b]].res)
+		if fa != fb {
+			return fa > fb
+		}
+		return ids[a] < ids[b]
+	})
+	var subs [][]int
+	var masks []maskAcc
+	for _, id := range ids {
+		placed := false
+		for si := range subs {
+			if !masks[si].intersects(lv.nodes[id].mask) {
+				subs[si] = append(subs[si], id)
+				masks[si].or(lv.nodes[id].mask)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			subs = append(subs, []int{id})
+			masks = append(masks, newMaskAcc(lv.nodes[id].mask))
+		}
+	}
+	return subs
 }
 
 // maskAcc is a mutable union of configuration masks (compat.Mask's own

@@ -31,12 +31,6 @@ import (
 // differential and property suites in delta_test.go and
 // incremental_differential_test.go enforce this.
 
-// scratch is the reusable working set of one search worker: move and
-// activation buffers, the delta cache and the quantisation memo. A
-// scratch is reused across the candidate sets a worker processes
-// (avoiding re-growth of the maps and slices) but reset per set, so
-// cache hit/miss counters are a deterministic function of the input
-// regardless of how sets are distributed over workers.
 // scoredMove is a first move paired with its cost delta, for the
 // restart-ordering sort in run.
 type scoredMove struct {
@@ -44,12 +38,20 @@ type scoredMove struct {
 	d  int64
 }
 
+// scratch is the reusable working set of one search worker: move and
+// activation buffers, the delta cache, the quantisation memo and the
+// move scan's dense destination rows. A scratch is reused across the
+// candidate sets a worker processes (avoiding re-growth of the maps and
+// slices) but reset per set, so cache hit/miss counters are a
+// deterministic function of the input regardless of how sets are
+// distributed over workers.
 type scratch struct {
 	moves  []move
 	scored []scoredMove
 	act    []int32
 	pairs  pairTable
 	quant  map[resource.Vector]quantEntry
+	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
 	nextID uint64
 }
 
@@ -61,11 +63,15 @@ func newScratch() *scratch {
 	return sc
 }
 
-// reset prepares the scratch for a new candidate set. Map and table
-// storage is retained (only marked empty), group ids restart at zero.
+// reset prepares the scratch for a new candidate set. Map, table and
+// row storage is retained (only marked empty), group ids restart at
+// zero.
 func (sc *scratch) reset() {
 	sc.pairs.reset()
 	clear(sc.quant)
+	for i := range sc.ext {
+		clear(sc.ext[i].flags)
+	}
 	sc.nextID = 0
 }
 
@@ -182,10 +188,10 @@ type quantEntry struct {
 // a raw resource requirement, memoised per candidate set. Both are pure
 // functions of res (given the searcher's NoQuantize option), so the
 // memo can never change a result — only skip recomputing it. The memo
-// lives in the caller-supplied scratch: the serial descent passes the
-// searcher's own s.sc, the parallel refine scan passes its shard's
-// scratch (see refine_parallel.go), so no scratch is ever shared
-// between goroutines.
+// lives in the caller-supplied scratch: a one-shard scan passes the
+// searcher's own s.sc, a sharded refine scan passes its shard's
+// scratch (see scan.go), so no scratch is ever shared between
+// goroutines.
 func (s *searcher) quantize(sc *scratch, res resource.Vector) (area resource.Vector, frames int64) {
 	if e, ok := sc.quant[res]; ok {
 		s.cQuantHit.Inc()
@@ -322,34 +328,15 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 	return e
 }
 
-// evalMove is the incremental counterpart of moveDelta: it produces a
-// candidate move's exact cost delta, resulting total area and budget
-// violation from the delta cache and the state's running aggregates,
-// and applies the area-based rejection rule the greedy policy uses
-// (while feasible a move must stay feasible; while infeasible it must
-// shrink the violation). ok=false reports such a rejection. For
-// transfer moves the rejection can often be decided from the
-// destination group alone — the source group's area is non-negative and
-// violation is monotone in area, so a lower bound that already fails
-// proves the exact area fails too, and the source side is never built.
+// evalMove is the incremental counterpart of moveDelta for merge and
+// static-promotion moves (transfers go through the scan's dense rows,
+// see moveScan.transfers): it produces a candidate move's exact cost delta,
+// resulting total area and budget violation from the delta cache and
+// the state's running aggregates, and applies the area-based rejection
+// rule the greedy policy uses (while feasible a move must stay
+// feasible; while infeasible it must shrink the violation). ok=false
+// reports such a rejection.
 func (s *searcher) evalMove(sc *scratch, st *state, mv move, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
-	if mv.part >= 0 && mv.j >= 0 {
-		gi, gj := st.groups[mv.i], st.groups[mv.j]
-		pi := gi.parts[mv.part]
-		dst := s.extendEntry(sc, gj, pi)
-		lower := curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
-		if _, rej := s.areaViolation(lower, curViol); rej {
-			return 0, resource.Vector{}, 0, false
-		}
-		src := s.shrinkEntry(sc, gi, mv.part)
-		newArea = lower.Add(src.area)
-		v, rej := s.areaViolation(newArea, curViol)
-		if rej {
-			return 0, resource.Vector{}, 0, false
-		}
-		dCost = dst.contrib + src.contrib - gi.contrib - gj.contrib
-		return dCost, newArea, v, true
-	}
 	if mv.j < 0 {
 		g := st.groups[mv.i]
 		newArea = curArea.Sub(g.area).Add(g.raw)
@@ -389,13 +376,10 @@ func (s *searcher) areaViolation(area resource.Vector, curViol int64) (v int64, 
 }
 
 // moveCost returns just the cost delta of a merge or static-promotion
-// move — the restart-ordering heuristic in run scores every first move
-// regardless of feasibility and never needs the area.
+// move (transfers are never first moves) — the restart-ordering
+// heuristic in run scores every first move regardless of feasibility
+// and never needs the area.
 func (s *searcher) moveCost(st *state, mv move) int64 {
-	if mv.part >= 0 && mv.j >= 0 {
-		d, _ := s.moveDelta(st, mv) // transfers are never first moves
-		return d
-	}
 	if mv.j < 0 {
 		return -st.groups[mv.i].contrib
 	}

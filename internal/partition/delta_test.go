@@ -34,7 +34,10 @@ func newTestSearchers(t *testing.T, d *design.Design, opts Options) []*searcher 
 
 // checkStateAgainstOracle compares every legal move's incremental
 // evaluation against the from-first-principles moveDelta, and the
-// state's running aggregates against full recomputation.
+// state's running aggregates against full recomputation. Merges and
+// promotions go through evalMove; transfers through the move scan's own
+// transfers loop — the part's dense destination row plus the shrink
+// entry hoisted over all destinations of one source part slot.
 func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state, step int) {
 	t.Helper()
 	if got, want := st.cost, st.totalCost(); got != want {
@@ -50,9 +53,53 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 		}
 		return curViol-v <= 0
 	}
+	type eval struct {
+		d    int64
+		area resource.Vector
+		v    int64
+	}
+	// scanned[i][k] holds the scan's survivors (by destination) and its
+	// legal and rejected tallies for part slot k of group i.
+	type slotScan struct {
+		survivors        map[int]eval
+		moves, rejects   int64
+		wantMoves, wantR int64
+	}
+	scanned := map[[2]int]*slotScan{}
+	s.scan.prepare(st, 1, true, true)
 	for _, mv := range s.appendLegalMoves(nil, st, true, true) {
 		wantD, wantArea := s.moveDelta(st, mv)
 		wantV := s.violation(wantArea)
+		if mv.part >= 0 {
+			key := [2]int{mv.i, mv.part}
+			ss := scanned[key]
+			if ss == nil {
+				ss = &slotScan{survivors: map[int]eval{}}
+				src := s.scan.source(s.sc, mv.i, mv.part)
+				ss.moves, ss.rejects = s.scan.transfers(s.sc, &src, func(j int, d int64, area resource.Vector, v int64) {
+					ss.survivors[j] = eval{d, area, v}
+				})
+				scanned[key] = ss
+			}
+			ss.wantMoves++
+			got, ok := ss.survivors[mv.j]
+			if rejected(wantV) {
+				ss.wantR++
+				if ok {
+					t.Fatalf("%s step %d: scan accepted transfer %+v the oracle rejects", label, step, mv)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("%s step %d: scan rejected transfer %+v the oracle accepts (viol %d, cur %d)",
+					label, step, mv, wantV, curViol)
+			}
+			if got != (eval{wantD, wantArea, wantV}) {
+				t.Fatalf("%s step %d transfer %+v: scan (d=%d area=%v v=%d) != moveDelta (d=%d area=%v v=%d)",
+					label, step, mv, got.d, got.area, got.v, wantD, wantArea, wantV)
+			}
+			continue
+		}
 		gotD, gotArea, gotV, ok := s.evalMove(s.sc, st, mv, st.area, curViol)
 		if !ok {
 			// The cache may only reject moves the greedy policy's
@@ -69,6 +116,12 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 		if gotD != wantD || gotArea != wantArea || gotV != wantV {
 			t.Fatalf("%s step %d move %+v: evalMove (d=%d area=%v v=%d) != moveDelta (d=%d area=%v v=%d)",
 				label, step, mv, gotD, gotArea, gotV, wantD, wantArea, wantV)
+		}
+	}
+	for key, ss := range scanned {
+		if ss.moves != ss.wantMoves || ss.rejects != ss.wantR {
+			t.Fatalf("%s step %d: transfers from group %d slot %d tally %d legal / %d rejected, oracle %d / %d",
+				label, step, key[0], key[1], ss.moves, ss.rejects, ss.wantMoves, ss.wantR)
 		}
 	}
 }

@@ -19,8 +19,11 @@ import (
 // initial grouping (typically the projection of a coarser level's
 // solution), and the engine runs its greedy descent machinery — the
 // delta cache, quantisation memo and running aggregates of delta.go —
-// from that state. The searcher runs with useMasks enabled, so move
-// legality stays cheap even when a level carries thousands of parts.
+// from that state. It runs the same move scan as the solve path, but
+// lets states large enough to be worth it (parWorthwhile) split into
+// refineShards shards over Options.Workers (see scan.go); group masks
+// keep move legality cheap even when a level carries thousands of
+// parts.
 
 // WarmStart describes a refinement problem: candidate parts with their
 // per-configuration activations, plus an initial assignment of every
@@ -146,14 +149,13 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	m := connmat.New(d)
 	cs := &cover.CandidateSet{Parts: ws.Parts, Active: ws.Active}
 	s := newSearcher(d, m, cs, opts, newScratch())
-	s.useMasks = true
-	// Shard large scan iterations over Options.Workers (refine is the
-	// only caller of the per-iteration parallel scan; the shard
+	// Shard large scan iterations over Options.Workers. The shard
 	// decomposition is Workers-independent, so any worker count —
 	// including the serial default — produces byte-identical schemes
-	// and identical obs counters; see refine_parallel.go).
-	s.par = newParScan(s, opts.Workers)
-	defer s.par.close()
+	// and identical obs counters; see scan.go.
+	s.scan.maxShards = refineShards
+	s.scan.workers = EffectiveRefineWorkers(opts.Workers)
+	defer s.scan.close()
 
 	// Group-internal compatibility: since a group's mask is the union of
 	// its parts' masks, the group is internally compatible iff its mask

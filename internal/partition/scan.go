@@ -1,0 +1,562 @@
+package partition
+
+import (
+	"runtime"
+	"sync"
+
+	"prpart/internal/resource"
+)
+
+// This file is the greedy descent's move scan: one pass over the legal
+// moves of the current state that evaluates every candidate against the
+// delta cache and keeps the best under the greedy policy. Its one
+// parameter is the shard count. The solve path scans every state as one
+// shard, inline on the searcher's own scratch — it already parallelises
+// over candidate sets. The refine path (RefineContext), where one level
+// of a multilevel solve can carry a thousand parts and the O(parts ×
+// groups) transfer scan dominates the whole solve, splits large states
+// into refineShards shards that a worker pool executes. Candidate moves
+// are independent reads of the immutable current state; only the
+// winning move's application mutates anything, and that stays serial.
+//
+// The design constraint is the repo's serial-vs-parallel identity
+// contract: Workers must change wall-clock time and nothing else — not
+// the scheme, not the trace, not one obs counter. Three decisions make
+// that hold by construction rather than by tolerance:
+//
+//   - Fixed sharding, independent of Workers. A sharded state is always
+//     split into refineShards fixed shards (merge/static moves by
+//     source-group id, transfers by source part index); workers are
+//     merely who executes a shard. Every per-shard cache and counter
+//     trajectory is therefore a pure function of the input.
+//   - Per-shard scratches. The delta cache and quantise memo are
+//     allocation-free but single-threaded; each shard owns a private
+//     scratch, and shard ownership is stable across iterations (group
+//     ids survive unrelated moves, part indices never change), so a
+//     shard re-hits its own cache exactly as one shared cache would.
+//     Cached entries are exact pure functions of their operands, so
+//     splitting the cache can change hit/miss timing, never a value.
+//   - Deterministic fixed-order reduction. Every candidate carries an
+//     ordinal encoding its position in the enumeration order of
+//     appendLegalMoves; in-shard incumbent updates and the cross-shard
+//     reduction break exact score ties by that ordinal, so the selected
+//     move is the first best in enumeration order no matter how many
+//     shards there are or which worker saw the move.
+
+const (
+	// refineShards is the shard count of a sharded refine scan. It is
+	// deliberately NOT the worker count: decomposition must be a pure
+	// function of the state for determinism, and 16 shards keep
+	// granularity fine enough that up to 16 workers stay busy.
+	refineShards = 16
+
+	// Sharding thresholds, on state shape only (never Workers): below
+	// them a one-shard scan wins on constant factors. A merge-dominated
+	// iteration shards when the group count alone makes the O(G²) pair
+	// scan worth splitting; a transfer iteration shards on live part
+	// count, since transfers contribute O(parts × groups) candidates.
+	refineParMinGroups = 64
+	refineParMinParts  = 128
+)
+
+// EffectiveRefineWorkers resolves an Options.Workers value to the
+// worker count the refine scan will actually use: 0 and 1 run the
+// sharded scan inline, negative takes GOMAXPROCS, and the count is
+// capped at both the shard count and GOMAXPROCS (the shards are pure
+// CPU; extra workers beyond either bound only add scheduling overhead,
+// and since the decomposition is worker-independent the cap cannot
+// change any result).
+func EffectiveRefineWorkers(workers int) int {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	if max := runtime.GOMAXPROCS(0); workers > max {
+		workers = max
+	}
+	if workers > refineShards {
+		workers = refineShards
+	}
+	return workers
+}
+
+// parWorthwhile reports whether cur's scan is large enough to shard.
+// Pure function of the state and move vocabulary.
+func parWorthwhile(cur *state, allowTransfers bool) bool {
+	if len(cur.groups) >= refineParMinGroups {
+		return true
+	}
+	if !allowTransfers || len(cur.groups) < 2 {
+		return false
+	}
+	parts := 0
+	for _, g := range cur.groups {
+		parts += len(g.parts)
+	}
+	return parts >= refineParMinParts
+}
+
+// Ordinal move classes, matching appendLegalMoves' per-source order:
+// merges first, then the static promotion, then transfers.
+const (
+	ordMerge uint64 = iota
+	ordStatic
+	ordTransfer
+)
+
+// moveOrd packs a candidate's position in the enumeration order into
+// one comparable word: source index i (high), class, part slot k,
+// destination j (low). Lower ordinal ⇔ enumerated earlier by
+// appendLegalMoves. The field widths cover any reachable state — j and
+// i are group indices (a refine level has thousands of groups at
+// most), and k is a part slot within one group, which transfers only
+// enumerate while the whole level has ≤ refineTransferCap parts.
+func moveOrd(i int, class uint64, k, j int) uint64 {
+	if i >= 1<<29 || j >= 1<<20 || k >= 1<<12 {
+		panic("partition: move scan ordinal overflow")
+	}
+	return uint64(i)<<34 | class<<32 | uint64(k)<<20 | uint64(j)
+}
+
+// shardCand is a shard's incumbent best move plus its selection scores
+// and per-shard counter deltas.
+type shardCand struct {
+	ok    bool
+	mv    move
+	ord   uint64
+	d     int64 // cost delta
+	v     int64 // resulting violation (infeasible phase)
+	saved int64 // area saved (feasible) / violation removed (infeasible)
+
+	moves   int64 // legal candidates enumerated
+	rejects int64 // candidates rejected by the greedy policy
+}
+
+// betterCand is the greedy selection rule: whether candidate a beats
+// incumbent b. While feasible, the lower cost delta wins, then the
+// larger area saving (cost-neutral area reductions make room for later
+// static promotions). While infeasible, the lower cost increase per
+// unit of violation removed wins, then the smaller resulting violation.
+// The enumeration ordinal breaks exact ties, so the first best move in
+// enumeration order is chosen.
+func betterCand(a, b *shardCand, feasible bool) bool {
+	if feasible {
+		if a.d != b.d {
+			return a.d < b.d
+		}
+		if a.saved != b.saved {
+			return a.saved > b.saved
+		}
+		return a.ord < b.ord
+	}
+	// Cross-multiply to stay in integers (saved > 0 on both sides).
+	al, bl := a.d*b.saved, b.d*a.saved
+	if al != bl {
+		return al < bl
+	}
+	if a.v != b.v {
+		return a.v < b.v
+	}
+	return a.ord < b.ord
+}
+
+// Dense row slot states. extUnknown must be zero so freshly grown (and
+// reset) rows start unknown.
+const (
+	extUnknown uint8 = iota
+	extIncompatible
+	extCached
+)
+
+// extRow is the dense destination cache of one candidate part: per
+// slot, whether the part may join the destination group the slot
+// stands for and, if so, the cached extension entry. Groups are
+// immutable and their ids are never reused within a candidate set, so
+// a filled slot can never go stale — unlike a slot indexed by group
+// position, which applyMove's slice surgery would shift every
+// iteration. Rows turn the transfer scan's hottest lookup from a random
+// probe into the big shared hash table (a DRAM-latency round trip per
+// candidate) into a read of a compact per-part array that the hardware
+// prefetcher streams, because surviving groups keep both their ids and
+// their relative order.
+//
+// Slots stand for group ids through moveScan.slot. Most ids of a
+// candidate set belong to groups no live state holds any more — the
+// solve path restarts its descent dozens of times per set — so a row
+// indexed by raw id would be sized by every group ever built. Instead
+// the first nParts slots cover ids below nParts, the start groups
+// (initial and a warm start build at most one group per part, before
+// any other), and the slots after them cover ids from the current
+// greedy run's first id on; run records which run filled them, and
+// they are cleared when another run begins. Ids in between — groups of
+// the module-grouped start or of a forced first move — bypass the row.
+type extRow struct {
+	flags []uint8     // per slot: extUnknown/extIncompatible/extCached
+	vals  []pairEntry // per slot, valid when flags is extCached
+	run   uint64      // runBase the slots above nParts were filled under
+}
+
+// grow extends the row with unknown slots so slot is addressable. hint
+// is the caller's expected slot high-water (plus slack): sizing new
+// rows to it up front means a row is normally allocated once and
+// regrown only after many further applied moves, instead of paying the
+// doubling ladder from zero.
+func (r *extRow) grow(slot, hint int) {
+	n := slot + 1
+	if n < hint {
+		n = hint
+	}
+	if n < 2*len(r.flags) {
+		n = 2 * len(r.flags)
+	}
+	flags := make([]uint8, n)
+	copy(flags, r.flags)
+	vals := make([]pairEntry, n)
+	copy(vals, r.vals)
+	r.flags, r.vals = flags, vals
+}
+
+// transferSource is the source side shared by every transfer out of
+// one part slot: the source group's index and slot, the moved part and
+// its dense row, and the shrunken source group's entry — the same
+// whatever the destination, so it is looked up at most once, on the
+// first destination that passes the area bound.
+type transferSource struct {
+	i, k       int
+	pi         int
+	row        *extRow
+	shrink     pairEntry
+	haveShrink bool
+}
+
+// source prepares the transfers out of part slot k of group i: the
+// moved part's dense row in sc, with its upper slots cleared if an
+// earlier greedy run filled them.
+func (p *moveScan) source(sc *scratch, i, k int) transferSource {
+	pi := p.cur.groups[i].parts[k]
+	if n := pi/p.shards + 1; n > len(sc.ext) {
+		sc.ext = append(sc.ext, make([]extRow, n-len(sc.ext))...)
+	}
+	row := &sc.ext[pi/p.shards]
+	if row.run != p.runBase {
+		if len(row.flags) > int(p.nParts) {
+			clear(row.flags[p.nParts:])
+		}
+		row.run = p.runBase
+	}
+	return transferSource{i: i, k: k, pi: pi, row: row}
+}
+
+// transfers evaluates every transfer of src's part into another group
+// of the current state, in destination order. It returns how many were
+// legal and how many of those the greedy area rule rejected (while
+// feasible a move must stay feasible; while infeasible it must shrink
+// the violation), and hands each survivor to visit with its exact cost
+// delta, resulting total area and budget violation. The destination
+// side comes from the part's dense row; only an unknown slot, or an id
+// the row does not cover, probes compatibility and the delta cache.
+// Rejection can often be decided from the destination alone — the
+// source group's area is non-negative and violation is monotone in
+// area, so a lower bound that already fails proves the exact area fails
+// too, and the source side is never looked up.
+func (p *moveScan) transfers(sc *scratch, src *transferSource, visit func(j int, d int64, area resource.Vector, v int64)) (moves, rejects int64) {
+	s := p.s
+	groups := p.cur.groups
+	gi := groups[src.i]
+	row := src.row
+	for j, gj := range groups {
+		if j == src.i {
+			continue
+		}
+		slot := p.slot(gj.id)
+		flag := extUnknown // an uncovered id acts as an unknown slot never filled
+		if slot >= 0 {
+			if slot >= len(row.flags) {
+				row.grow(slot, p.rowHint)
+			}
+			flag = row.flags[slot]
+		}
+		var dst pairEntry
+		switch flag {
+		case extIncompatible:
+			continue
+		case extCached:
+			// The scratch's hash cache necessarily holds this entry (the
+			// slot was filled from it), so the dense read stands in for
+			// a hash hit.
+			s.cDeltaHit.Inc()
+			dst = row.vals[slot]
+		default:
+			if !s.partCompatible(src.pi, gj) {
+				if slot >= 0 {
+					row.flags[slot] = extIncompatible
+				}
+				continue
+			}
+			dst = s.extendEntry(sc, gj, src.pi)
+			if slot >= 0 {
+				row.vals[slot], row.flags[slot] = dst, extCached
+			}
+		}
+		moves++
+		lower := p.curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
+		if _, rej := s.areaViolation(lower, p.curViol); rej {
+			rejects++
+			continue
+		}
+		if !src.haveShrink {
+			src.shrink, src.haveShrink = s.shrinkEntry(sc, gi, src.k), true
+		}
+		newArea := lower.Add(src.shrink.area)
+		v, rej := s.areaViolation(newArea, p.curViol)
+		if rej {
+			rejects++
+			continue
+		}
+		visit(j, dst.contrib+src.shrink.contrib-gi.contrib-gj.contrib, newArea, v)
+	}
+	return moves, rejects
+}
+
+// moveScan is the searcher's move scan. Shard scratches are created on
+// the first sharded scan, the worker pool on the first sharded scan
+// with more than one worker; a one-shard scan runs inline on the
+// searcher's own scratch.
+type moveScan struct {
+	s *searcher
+	// maxShards is the shard count of states worth splitting
+	// (parWorthwhile): 1 on the solve path, refineShards on refine.
+	maxShards int
+	workers   int
+
+	scratches [refineShards]*scratch
+	cands     [refineShards]shardCand
+
+	// nParts and runBase map group ids to dense-row slots (see extRow):
+	// runBase is the first id of the current greedy run, at least nParts.
+	nParts, runBase uint64
+
+	// Per-iteration inputs, written before shards are dispatched and
+	// read-only while they run. rowHint is the size new dense rows grow
+	// to: the slots the current run has used plus slack (the id counter
+	// only moves in applyMove, never during a scan).
+	shards         int
+	rowHint        int
+	cur            *state
+	allowStatic    bool
+	allowTransfers bool
+	curArea        resource.Vector
+	curViol        int64
+
+	jobs chan int
+	wg   sync.WaitGroup
+}
+
+// close releases the worker pool (the goroutines exit when the job
+// channel closes). Safe when the pool was never started.
+func (p *moveScan) close() {
+	if p.jobs != nil {
+		close(p.jobs)
+		p.jobs = nil
+	}
+}
+
+// beginRun marks the start of a greedy run: the groups it builds get
+// the dense rows' upper slots.
+func (p *moveScan) beginRun() {
+	p.runBase = max(p.s.sc.nextID, p.nParts)
+}
+
+// slot returns the dense-row slot standing for group id, or -1 when
+// the rows do not cover it.
+func (p *moveScan) slot(id uint64) int {
+	switch {
+	case id < p.nParts:
+		return int(id)
+	case id >= p.runBase:
+		return int(p.nParts + id - p.runBase)
+	}
+	return -1
+}
+
+// shardsFor returns the shard count cur's scan runs with — a function
+// of the state only, never of the worker count, so the set of sharded
+// iterations (and with it every cache and counter trajectory) is
+// identical at any Workers setting.
+func (p *moveScan) shardsFor(cur *state, allowTransfers bool) int {
+	if p.maxShards > 1 && parWorthwhile(cur, allowTransfers) {
+		return p.maxShards
+	}
+	return 1
+}
+
+// scratch returns the scratch shard si evaluates with.
+func (p *moveScan) scratch(si int) *scratch {
+	if p.shards == 1 {
+		return p.s.sc
+	}
+	return p.scratches[si]
+}
+
+// prepare sets the per-iteration inputs of a scan of cur.
+func (p *moveScan) prepare(cur *state, shards int, allowStatic, allowTransfers bool) {
+	if shards > 1 && p.scratches[0] == nil {
+		for i := range p.scratches {
+			p.scratches[i] = newScratch()
+		}
+	}
+	p.shards = shards
+	used := int(max(p.s.sc.nextID, p.runBase) - p.runBase)
+	p.rowHint = int(p.nParts) + used + used/4
+	p.cur = cur
+	p.allowStatic, p.allowTransfers = allowStatic, allowTransfers
+	p.curArea = cur.area
+	p.curViol = p.s.violation(cur.area)
+}
+
+// scan selects the best legal move from cur under the greedy policy,
+// splitting the candidate space into the given number of shards and
+// reducing the shard incumbents in fixed shard order. It returns the
+// move with the scratch whose delta cache evaluated it, so applyMove
+// hits; ok=false means no applicable move remains.
+func (p *moveScan) scan(cur *state, shards int, allowStatic, allowTransfers bool) (move, *scratch, bool) {
+	p.prepare(cur, shards, allowStatic, allowTransfers)
+	if shards == 1 || p.workers <= 1 {
+		for si := 0; si < shards; si++ {
+			p.runShard(si)
+		}
+	} else {
+		if p.jobs == nil {
+			p.jobs = make(chan int, refineShards)
+			for w := 0; w < p.workers; w++ {
+				go func() {
+					for si := range p.jobs {
+						p.runShard(si)
+						p.wg.Done()
+					}
+				}()
+			}
+		}
+		p.wg.Add(shards)
+		for si := 0; si < shards; si++ {
+			p.jobs <- si
+		}
+		p.wg.Wait()
+	}
+
+	var nMoves, nRejects int64
+	win := -1
+	feasible := p.curViol == 0
+	for si := 0; si < shards; si++ {
+		c := &p.cands[si]
+		nMoves += c.moves
+		nRejects += c.rejects
+		if !c.ok {
+			continue
+		}
+		if win < 0 || betterCand(c, &p.cands[win], feasible) {
+			win = si
+		}
+	}
+	p.s.cMoves.Add(nMoves)
+	p.s.cRejects.Add(nRejects)
+	if win < 0 {
+		return move{}, nil, false
+	}
+	return p.cands[win].mv, p.scratch(win), true
+}
+
+// runShard enumerates and evaluates shard si's slice of the candidate
+// space, keeping its best candidate in p.cands[si]. Ownership:
+// merge and static moves belong to the shard of their source group's
+// id (stable under unrelated moves — surviving groups keep their ids,
+// and the lower-indexed member of a surviving pair stays lower, since
+// applyMove's slice surgery preserves relative order); transfers
+// belong to the shard of the moved part's index (stable by
+// definition). Both assignments put every repeated evaluation of the
+// same cache key in the same shard, so per-shard caches re-hit across
+// iterations exactly like one shared cache. A shard's dense rows are
+// those of the parts it owns, kept in its scratch at pi / shards.
+func (p *moveScan) runShard(si int) {
+	s := p.s
+	sc := p.scratch(si)
+	n := p.shards
+	cur := p.cur
+	curArea, curViol := p.curArea, p.curViol
+	feasible := curViol == 0
+	best := &p.cands[si]
+	*best = shardCand{}
+
+	// accept applies the greedy selection policy to an evaluated legal
+	// move and updates the shard incumbent.
+	accept := func(mv move, ord uint64, d int64, area resource.Vector, v int64) {
+		var cand shardCand
+		if feasible {
+			// Accept strict cost improvements, or cost-neutral area
+			// reductions.
+			if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
+				best.rejects++
+				return
+			}
+			cand = shardCand{ok: true, mv: mv, ord: ord, d: d,
+				saved: int64(curArea.Total() - area.Total())}
+		} else {
+			cand = shardCand{ok: true, mv: mv, ord: ord, d: d, v: v,
+				saved: curViol - v}
+		}
+		if !best.ok || betterCand(&cand, best, feasible) {
+			cand.moves, cand.rejects = best.moves, best.rejects
+			*best = cand
+		}
+	}
+
+	consider := func(mv move, ord uint64) {
+		best.moves++
+		d, area, v, ok := s.evalMove(sc, cur, mv, curArea, curViol)
+		if !ok {
+			best.rejects++
+			return
+		}
+		accept(mv, ord, d, area, v)
+	}
+
+	groups := cur.groups
+	for i := 0; i < len(groups); i++ {
+		if int(groups[i].id)%n != si {
+			continue
+		}
+		for j := i + 1; j < len(groups); j++ {
+			if s.groupsCompatible(groups[i], groups[j]) {
+				consider(move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+			}
+		}
+		if p.allowStatic {
+			consider(move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
+		}
+	}
+	if !p.allowTransfers {
+		return
+	}
+	for i := 0; i < len(groups); i++ {
+		// Moving the sole part of a group equals a merge, so only
+		// groups with two or more parts are sources (appendLegalMoves'
+		// rule).
+		gi := groups[i]
+		if len(gi.parts) < 2 {
+			continue
+		}
+		for k, pi := range gi.parts {
+			if pi%n != si {
+				continue
+			}
+			src := p.source(sc, i, k)
+			moves, rejects := p.transfers(sc, &src, func(j int, d int64, area resource.Vector, v int64) {
+				accept(move{i: i, j: j, part: k}, moveOrd(i, ordTransfer, k, j), d, area, v)
+			})
+			best.moves += moves
+			best.rejects += rejects
+		}
+	}
+}

@@ -19,6 +19,16 @@ import (
 	"prpart/internal/scheme"
 )
 
+// This file is the search engine's entry point: SolveContext clusters
+// the design into candidate partition sets and runs one searcher per
+// set, in parallel over sets. A searcher (below) runs greedy descents
+// from the all-separate and module-grouped starts (state.go); every
+// descent step is one pass of the move scan (scan.go) over the current
+// state's legal moves, evaluated against the delta cache (delta.go).
+// On this path the scan always runs as one shard; RefineContext
+// (refine.go) reuses the same searcher and scan from a caller-supplied
+// grouping and lets large states shard.
+
 // ErrInfeasible reports that no partitioning of the design fits the
 // budget — not even a single region sized for the largest configuration.
 var ErrInfeasible = errors.New("partition: design does not fit the budget")
@@ -364,12 +374,12 @@ type group struct {
 	sumSq   int64           // Σ over parts of (activation count)²
 	act     []int32         // per config: active part + 1 (weighted mode only)
 	contrib int64           // frames × (weighted) differing-pair mass
-	// mask is the union of the parts' configuration masks — present only
-	// when the searcher runs with useMasks (the multilevel refine path),
-	// where it makes group-pair compatibility O(configs/64) instead of
-	// O(|ga|·|gb|). Nil on the standard path, which keeps the original
-	// pairwise probe and its exact allocation profile.
-	mask compat.Mask
+	// mask is the union of the parts' configuration masks: two groups
+	// may merge iff their masks are disjoint, an O(configs/64) probe
+	// whatever the groups' sizes. With at most 64 configurations it is
+	// backed by maskWord, so building a group stays one allocation.
+	mask     compat.Mask
+	maskWord [1]uint64
 }
 
 // diffPairs is the number of configuration pairs whose transition
@@ -399,19 +409,10 @@ type searcher struct {
 	// worker processes.
 	sc *scratch
 
-	// useMasks switches group construction and move legality onto
-	// group-level configuration masks (see group.mask). Only the Refine
-	// warm-start path sets it: at multilevel scale a region holds
-	// thousands of parts and the pairwise GroupCompatible probe is the
-	// bottleneck, while the standard path must keep its byte- and
-	// allocation-identical behaviour.
-	useMasks bool
-
-	// par, when non-nil, shards large scan iterations across a worker
-	// pool (see refine_parallel.go). Only the Refine warm-start path
-	// sets it; the standard solve path parallelises over candidate
-	// sets instead and keeps its exact serial scan.
-	par *parScan
+	// scan is the greedy descent's move scan (see scan.go): one shard
+	// on the solve path, which parallelises over candidate sets;
+	// RefineContext lets large states shard over Options.Workers.
+	scan moveScan
 
 	// Observability instruments, resolved once per searcher; all nil when
 	// Options.Obs is nil, making every update a single branch.
@@ -463,6 +464,8 @@ func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, op
 		sets[i] = p.Set
 	}
 	s.tab = compat.NewTable(m, sets)
+	n := uint64(len(cs.Parts))
+	s.scan = moveScan{s: s, maxShards: 1, workers: 1, nParts: n, runBase: n}
 	s.partRes = make([]resource.Vector, len(cs.Parts))
 	s.partAct = make([]int, len(cs.Parts))
 	for pi, p := range cs.Parts {

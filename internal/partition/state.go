@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"prpart/internal/compat"
-	"prpart/internal/cost"
 	"prpart/internal/device"
 	"prpart/internal/resource"
 	"prpart/internal/scheme"
@@ -106,36 +105,30 @@ func (s *searcher) newGroup(parts ...int) *group {
 	} else {
 		g.contrib = g.frames * g.diffPairs()
 	}
-	if s.useMasks {
-		mask := compat.NewMask(len(s.d.Configurations))
-		for _, pi := range parts {
-			pm := s.tab.Mask(pi)
-			for w := range mask {
-				mask[w] |= pm[w]
-			}
+	if n := len(s.d.Configurations); n <= 64 {
+		g.mask = g.maskWord[:]
+	} else {
+		g.mask = compat.NewMask(n)
+	}
+	for _, pi := range parts {
+		pm := s.tab.Mask(pi)
+		for w := range g.mask {
+			g.mask[w] |= pm[w]
 		}
-		g.mask = mask
 	}
 	return g
 }
 
-// groupsCompatible reports whether two groups may merge. With masks
-// (the Refine path) the probe is a single mask intersection — a group's
-// mask is the union of its parts' masks, so disjoint masks ⇔ every
-// cross pair compatible; otherwise it is the original pairwise walk.
+// groupsCompatible reports whether two groups may merge: a group's mask
+// is the union of its parts' masks, so disjoint masks ⇔ every cross
+// pair of parts is compatible.
 func (s *searcher) groupsCompatible(ga, gb *group) bool {
-	if ga.mask != nil && gb.mask != nil {
-		return !ga.mask.Intersects(gb.mask)
-	}
-	return s.tab.GroupCompatible(ga.parts, gb.parts)
+	return !ga.mask.Intersects(gb.mask)
 }
 
 // partCompatible reports whether candidate part p may join group g.
 func (s *searcher) partCompatible(p int, g *group) bool {
-	if g.mask != nil {
-		return !s.tab.Mask(p).Intersects(g.mask)
-	}
-	return s.tab.GroupCompatible([]int{p}, g.parts)
+	return !s.tab.Mask(p).Intersects(g.mask)
 }
 
 // activation maps each configuration to the active part of the group
@@ -218,7 +211,7 @@ type move struct {
 // determinism contract.
 //
 // sc must be the scratch whose delta cache evaluated mv (the shard
-// scratch on the parallel refine path, s.sc otherwise) so the entry
+// scratch of a sharded refine scan, s.sc otherwise) so the entry
 // lookups below always hit.
 func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	if mv.part >= 0 && mv.j >= 0 {
@@ -317,7 +310,7 @@ func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTra
 // the new state, from first principles: it rebuilds the affected groups
 // and recomputes the area sum. It is the non-incremental oracle the
 // delta cache is differentially tested against (see reference.go) and
-// is no longer on the hot path — evalMove in delta.go is.
+// is no longer on the hot path — the move scan in scan.go is.
 func (s *searcher) moveDelta(st *state, mv move) (dCost int64, newArea resource.Vector) {
 	area := st.totalArea()
 	if mv.part >= 0 && mv.j >= 0 {
@@ -617,16 +610,17 @@ func (s *searcher) moduleGrouped() *state {
 // unit of budget violation removed (merging trades time for area in this
 // model; it can never reduce cost). Once feasible it applies
 // cost-improving moves — in practice static promotions — until none
-// remain. Candidates are scored by evalMove against the delta cache;
-// the state mutates in place, so one descent allocates only what its
-// applied moves create.
+// remain. Candidates are scored by the move scan (scan.go) against the
+// delta cache; the state mutates in place, so one descent allocates
+// only what its applied moves create.
 func (s *searcher) greedy(st *state, allowStatic, allowTransfers bool, record func(*state)) {
 	s.cDescents.Inc()
 	depth := 0
 	defer func() { s.gDepth.Observe(int64(depth)) }()
 	cur := st.clone()
+	s.scan.beginRun()
 	for {
-		mv, sc, ok := s.scanMoves(cur, allowStatic, allowTransfers)
+		mv, sc, ok := s.scan.scan(cur, s.scan.shardsFor(cur, allowTransfers), allowStatic, allowTransfers)
 		if !ok {
 			return
 		}
@@ -634,72 +628,4 @@ func (s *searcher) greedy(st *state, allowStatic, allowTransfers bool, record fu
 		depth++
 		record(cur)
 	}
-}
-
-// scanMoves selects the best legal move from cur under the greedy
-// policy, returning it with the scratch whose delta cache evaluated it
-// (so applyMove hits). ok=false means no applicable move remains. The
-// parallel refine scan takes over when the searcher carries a parScan
-// and the state is large enough to shard — a threshold that depends
-// only on the state, never on the worker count, so the set of sharded
-// iterations (and with it every cache and counter trajectory) is
-// identical at any Workers setting.
-func (s *searcher) scanMoves(cur *state, allowStatic, allowTransfers bool) (move, *scratch, bool) {
-	if s.par != nil && parWorthwhile(cur, allowTransfers) {
-		return s.par.scan(cur, allowStatic, allowTransfers)
-	}
-	moves := s.appendLegalMoves(s.sc.moves[:0], cur, allowStatic, allowTransfers)
-	s.sc.moves = moves
-	if len(moves) == 0 {
-		return move{}, nil, false
-	}
-	s.cMoves.Add(int64(len(moves)))
-	curArea := cur.area
-	curViol := s.violation(curArea)
-	bestIdx := -1
-	var bestCost, bestViol, bestSaved int64
-	for i, mv := range moves {
-		d, area, v, ok := s.evalMove(s.sc, cur, mv, curArea, curViol)
-		if !ok {
-			s.cRejects.Inc()
-			continue
-		}
-		if curViol == 0 {
-			// Feasible: accept strict cost improvements, or
-			// cost-neutral area reductions that make room for later
-			// static promotions.
-			if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
-				s.cRejects.Inc()
-				continue
-			}
-			saved := int64(curArea.Total() - area.Total())
-			if bestIdx < 0 || d < bestCost || (d == bestCost && saved > bestSaved) {
-				bestIdx, bestCost, bestSaved = i, d, saved
-			}
-		} else {
-			saved := curViol - v
-			// Lower dCost per violation removed wins; cross-multiply
-			// to stay in integers (saved > 0 on both sides).
-			if bestIdx < 0 || d*bestSaved < bestCost*saved ||
-				(d*bestSaved == bestCost*saved && v < bestViol) {
-				bestIdx, bestCost, bestViol, bestSaved = i, d, v, saved
-			}
-		}
-	}
-	if bestIdx < 0 {
-		return move{}, nil, false
-	}
-	return moves[bestIdx], s.sc, true
-}
-
-// evaluate is a debugging helper: it materialises and evaluates a state
-// without registering it.
-func (s *searcher) evaluate(st *state) (cost.Summary, error) {
-	sn := s.snap(st)
-	sch, err := sn.scheme("debug")
-	if err != nil {
-		return cost.Summary{}, err
-	}
-	_, sum := cost.Evaluate(sch)
-	return sum, nil
 }

@@ -59,7 +59,7 @@ type SolveSpec struct {
 	// Workers, when nonzero, pins the solve's worker count for this
 	// request (candidate-set workers and the per-level refine scan),
 	// overriding the daemon/CLI default. Results are provably identical
-	// at any worker count (see partition/refine_parallel.go), but a set
+	// at any worker count (see partition/scan.go), but a set
 	// value is still hashed into the cache key — the key stays a
 	// complete record of the request — while unset requests keep their
 	// pre-existing keys.

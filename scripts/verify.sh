@@ -6,7 +6,8 @@
 #                              #   + oracle soak, + chaos, + multilevel,
 #                              #   + batch/async daemon-client e2e, + cluster
 #
-# Tier 1  go build + go test             — must always pass (ROADMAP gate)
+# Tier 1  go build + go test             — must always pass (ROADMAP gate),
+#         plus go vet + go test of the perfbench benchmark module
 # Tier 2  go vet + go test -race         — static checks and race detection,
 #         plus a 1-iteration Solve benchmark smoke run
 
@@ -61,6 +62,8 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: build + test =="
 go build ./...
 go test ./...
+# perfbench is a module of its own, so ./... never builds it.
+(cd perfbench && go vet . && go test .)
 
 if [ "$1" = "all" ]; then
 	echo "== tier 2: vet + race =="
