@@ -4,7 +4,9 @@
 // connectivity matrix they provide, until every configuration is fully
 // covered. The partitions actually used form a candidate partition set —
 // the starting point for region allocation. Removing the head of the list
-// and re-covering yields the next candidate set, until covering fails.
+// and re-covering yields the next candidate set, until covering fails or
+// the caller's bound on distinct sets is reached (SetsN): the search only
+// ever uses a prefix of the sequence, so enumeration stops there.
 package cover
 
 import (
@@ -36,21 +38,40 @@ type CandidateSet struct {
 // tie-break. The input is not modified.
 func Order(parts []basepart.BasePartition) []basepart.BasePartition {
 	out := append([]basepart.BasePartition(nil), parts...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Set.Len() != b.Set.Len() {
-			return a.Set.Len() < b.Set.Len()
-		}
-		if a.FreqWeight != b.FreqWeight {
-			return a.FreqWeight < b.FreqWeight
-		}
-		fa, fb := device.Frames(a.Resources), device.Frames(b.Resources)
-		if fa != fb {
-			return fa < fb
-		}
-		return a.Set.Key() < b.Set.Key()
-	})
+	frames := make([]int, len(out))
+	for i, bp := range out {
+		frames[i] = device.Frames(bp.Resources)
+	}
+	sort.Stable(coverOrder{out, frames})
 	return out
+}
+
+// coverOrder sorts parts by Order's keys. frames[i] is the frame count
+// of parts[i], computed once per part and swapped along with it.
+type coverOrder struct {
+	parts  []basepart.BasePartition
+	frames []int
+}
+
+func (o coverOrder) Len() int { return len(o.parts) }
+
+func (o coverOrder) Swap(i, j int) {
+	o.parts[i], o.parts[j] = o.parts[j], o.parts[i]
+	o.frames[i], o.frames[j] = o.frames[j], o.frames[i]
+}
+
+func (o coverOrder) Less(i, j int) bool {
+	a, b := o.parts[i], o.parts[j]
+	if a.Set.Len() != b.Set.Len() {
+		return a.Set.Len() < b.Set.Len()
+	}
+	if a.FreqWeight != b.FreqWeight {
+		return a.FreqWeight < b.FreqWeight
+	}
+	if o.frames[i] != o.frames[j] {
+		return o.frames[i] < o.frames[j]
+	}
+	return a.Set.Key() < b.Set.Key()
 }
 
 // Cover runs one covering pass: partitions are taken in list order, each
@@ -102,14 +123,23 @@ func Cover(list []basepart.BasePartition, m *connmat.Matrix) (*CandidateSet, err
 	return cs, nil
 }
 
-// Sets enumerates the candidate partition sets of the paper's outer loop:
-// the first covering uses the whole ordered list; each subsequent one
-// removes the current head and re-covers, until covering fails. The
-// partitions must already be in covering order (see Order).
+// Sets enumerates every candidate partition set of the paper's outer
+// loop: the first covering uses the whole ordered list; each subsequent
+// one removes the current head and re-covers, until covering fails. The
+// partitions must already be in covering order (see Order). It is SetsN
+// without a bound.
 func Sets(ordered []basepart.BasePartition, m *connmat.Matrix) []*CandidateSet {
+	return SetsN(ordered, m, int(^uint(0)>>1))
+}
+
+// SetsN is Sets stopped once limit distinct candidate sets are found.
+// Sets keeps first occurrences in enumeration order, so the result is
+// exactly the first min(limit, len(Sets(ordered, m))) sets of Sets, at
+// the cost of only the coverings needed to reach them.
+func SetsN(ordered []basepart.BasePartition, m *connmat.Matrix, limit int) []*CandidateSet {
 	var out []*CandidateSet
 	seen := make(map[string]bool)
-	for start := 0; start < len(ordered); start++ {
+	for start := 0; start < len(ordered) && len(out) < limit; start++ {
 		cs, err := Cover(ordered[start:], m)
 		if err != nil {
 			break

@@ -2,12 +2,16 @@ package cover
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"prpart/internal/basepart"
 	"prpart/internal/connmat"
 	"prpart/internal/design"
+	"prpart/internal/device"
 	"prpart/internal/modeset"
+	"prpart/internal/synthetic"
 )
 
 func paperParts(t *testing.T, d *design.Design) ([]basepart.BasePartition, *connmat.Matrix) {
@@ -274,5 +278,82 @@ func TestLaterSetsContainMultiModeParts(t *testing.T) {
 	}
 	if !found {
 		t.Error("no multi-mode base partition in any later candidate set")
+	}
+}
+
+// corpus is the paper's designs plus a small synthetic corpus spanning
+// every circuit class.
+func corpus() []*design.Design {
+	ds := []*design.Design{
+		design.PaperExample(), design.VideoReceiver(),
+		design.VideoReceiverModified(), design.TwoModuleExample(),
+		design.SingleModeExample(),
+	}
+	return append(ds, synthetic.Generate(1, 12)...)
+}
+
+func reversed(parts []basepart.BasePartition) []basepart.BasePartition {
+	out := make([]basepart.BasePartition, len(parts))
+	for i, p := range parts {
+		out[len(parts)-1-i] = p
+	}
+	return out
+}
+
+// referenceOrder is the covering order's comparator applied directly,
+// recomputing frames on every comparison. Order must agree with it.
+func referenceOrder(parts []basepart.BasePartition) []basepart.BasePartition {
+	out := append([]basepart.BasePartition(nil), parts...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Set.Len() != b.Set.Len() {
+			return a.Set.Len() < b.Set.Len()
+		}
+		if a.FreqWeight != b.FreqWeight {
+			return a.FreqWeight < b.FreqWeight
+		}
+		fa, fb := device.Frames(a.Resources), device.Frames(b.Resources)
+		if fa != fb {
+			return fa < fb
+		}
+		return a.Set.Key() < b.Set.Key()
+	})
+	return out
+}
+
+func TestOrderMatchesReferenceComparator(t *testing.T) {
+	for _, d := range corpus() {
+		parts, err := basepart.BasePartitions(connmat.New(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both the enumeration order and its reverse: the result must
+		// not depend on the order parts arrive in.
+		for _, in := range [][]basepart.BasePartition{parts, reversed(parts)} {
+			if got, want := Order(in), referenceOrder(in); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Order diverges from the reference comparator", d.Name)
+			}
+		}
+	}
+}
+
+func TestSetsNIsPrefixOfSets(t *testing.T) {
+	for _, d := range corpus() {
+		ordered, m := paperParts(t, d)
+		// Covering order and its reverse (ablation A5's descending order).
+		for dir, list := range [][]basepart.BasePartition{ordered, reversed(ordered)} {
+			all := Sets(list, m)
+			for _, limit := range []int{1, 2, 16, len(all) + 1} {
+				got := SetsN(list, m, limit)
+				if len(got) > limit {
+					t.Fatalf("%s dir %d limit %d: %d sets returned", d.Name, dir, limit, len(got))
+				}
+				want := all[:min(limit, len(all))]
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s dir %d limit %d: SetsN is not the first %d sets of Sets",
+						d.Name, dir, limit, len(want))
+				}
+			}
+		}
 	}
 }

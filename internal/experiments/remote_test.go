@@ -51,6 +51,29 @@ func assertOutcomesIdentical(t *testing.T, got, want []*Outcome, label string) {
 	}
 }
 
+var (
+	refOnce    sync.Once
+	refDesigns []*design.Design
+	refLocal   []*Outcome
+	refErr     error
+)
+
+// referenceSweep returns the 100-design synthetic corpus and its
+// in-process §V sweep, computed once per test binary: both remote
+// e2e tests compare against the same local outcomes, and the sweep is
+// the package's most expensive step under the race detector.
+func referenceSweep(t *testing.T) ([]*design.Design, []*Outcome) {
+	t.Helper()
+	refOnce.Do(func() {
+		refDesigns = synthetic.Generate(7, 100)
+		refLocal, refErr = Sweep(refDesigns, partition.Options{}, 0)
+	})
+	if refErr != nil {
+		t.Fatal(refErr)
+	}
+	return refDesigns, refLocal
+}
+
 // TestRemoteBatchSweepParity runs the §V sweep over 100 synthetic
 // designs twice — in process, then as a /v1/solve/batch client of a
 // booted daemon — and requires metric-identical outcomes. This is the
@@ -60,11 +83,7 @@ func TestRemoteBatchSweepParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	designs := synthetic.Generate(7, 100)
-	local, err := Sweep(designs, partition.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	designs, local := referenceSweep(t)
 
 	srv := serve.New(serve.Config{Workers: 8})
 	defer srv.Close()
@@ -129,11 +148,7 @@ func TestRemoteAsyncSweepSurvivesRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	designs := synthetic.Generate(7, 100)
-	local, err := Sweep(designs, partition.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	designs, local := referenceSweep(t)
 
 	// The store shared across daemon lives. With PRPART_JOBS_ARTIFACTS
 	// set (the CI e2e job), it lives on the real filesystem so a failure

@@ -54,7 +54,9 @@ type Options struct {
 	// frame counts (ablation A3). Final metrics are always quantised.
 	NoQuantize bool
 	// MaxCandidateSets bounds the outer candidate-set iteration:
-	// 0 = default (16), negative = unlimited.
+	// 0 = default (16), negative = unlimited. The bound limits covering
+	// work too, not only search: enumeration stops once it has this many
+	// distinct sets (cover.SetsN).
 	MaxCandidateSets int
 	// MaxFirstMoves bounds the restart breadth per candidate set:
 	// 0 = default (32), negative = unlimited.
@@ -250,13 +252,11 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 			ordered[i], ordered[j] = ordered[j], ordered[i]
 		}
 	}
-	sets := cover.Sets(ordered, m)
-	if len(sets) > opts.maxSets() {
-		sets = sets[:opts.maxSets()]
+	limit := opts.maxSets()
+	if opts.GreedyOnly {
+		limit = 1
 	}
-	if opts.GreedyOnly && len(sets) > 1 {
-		sets = sets[:1]
-	}
+	sets := cover.SetsN(ordered, m, limit)
 	stopCluster()
 	opts.Obs.Counter("partition.candidate_sets").Add(int64(len(sets)))
 	opts.Obs.Emit("partition", "search.start",
