@@ -1,4 +1,4 @@
-// Package cluster implements the paper's modified hierarchical clustering
+// Package basepart implements the paper's modified hierarchical clustering
 // (§IV-C): starting from disconnected mode nodes, edges are inserted in
 // decreasing edge-weight order, and each newly completed sub-graph that is
 // supported by at least one configuration becomes a base partition with an
@@ -12,6 +12,8 @@
 // enumeration exactly "all non-empty subsets of configurations", with
 // frequency weight equal to the node weight for singletons and the minimum
 // internal edge weight otherwise.
+//
+// BasePartitions is the package's one entry point.
 package basepart
 
 import (
@@ -41,29 +43,10 @@ type BasePartition struct {
 // Label renders the base partition with human-readable mode names.
 func (bp BasePartition) Label(d *design.Design) string { return bp.Set.Label(d) }
 
-// Edge is a link between two modes weighted by co-occurrence count.
-type Edge struct {
+// edge is a link between two modes weighted by co-occurrence count.
+type edge struct {
 	A, B   design.ModeRef
 	Weight int
-}
-
-// Iteration records one step of the agglomerative process for tracing:
-// the edge inserted and any base partitions completed by that insertion.
-type Iteration struct {
-	Edge      Edge
-	Completed []BasePartition
-}
-
-// Result carries the outcome of the clustering.
-type Result struct {
-	// Singletons are the k=0 sub-graphs (every used mode), in matrix
-	// column order, with frequency weight equal to the node weight.
-	Singletons []BasePartition
-	// Iterations trace each edge insertion, in insertion order.
-	Iterations []Iteration
-	// Partitions lists every base partition (singletons first, then in
-	// completion order). This is the paper's Table I content.
-	Partitions []BasePartition
 }
 
 // MaxConfigModes bounds the number of active modes per configuration the
@@ -71,8 +54,12 @@ type Result struct {
 // configuration with k active modes contributes up to 2^k-1 of them.
 const MaxConfigModes = 20
 
-// Run executes the clustering on a connectivity matrix.
-func Run(m *connmat.Matrix) (*Result, error) {
+// BasePartitions runs the clustering on a connectivity matrix and
+// returns every base partition: the singletons (every used mode, in
+// matrix column order, with frequency weight equal to the node weight)
+// first, then the multi-mode partitions in the order the edge insertions
+// complete them. This is the paper's Table I content.
+func BasePartitions(m *connmat.Matrix) ([]BasePartition, error) {
 	d := m.Design()
 	for ci := range d.Configurations {
 		if n := len(d.ConfigModes(ci)); n > MaxConfigModes {
@@ -81,7 +68,7 @@ func Run(m *connmat.Matrix) (*Result, error) {
 		}
 	}
 
-	res := &Result{}
+	var parts []BasePartition
 	seen := make(map[string]bool)
 
 	// k=0: every used mode is a disconnected sub-graph.
@@ -91,8 +78,7 @@ func Run(m *connmat.Matrix) (*Result, error) {
 			FreqWeight: m.NodeWeight(r),
 			Resources:  d.ModeResources(r),
 		}
-		res.Singletons = append(res.Singletons, bp)
-		res.Partitions = append(res.Partitions, bp)
+		parts = append(parts, bp)
 		seen[bp.Set.Key()] = true
 	}
 
@@ -105,7 +91,6 @@ func Run(m *connmat.Matrix) (*Result, error) {
 
 	for _, e := range edges {
 		inserted[edgeKey(e.A, e.B)] = true
-		it := Iteration{Edge: e}
 		// New complete sub-graphs containing the inserted edge: subsets
 		// of configurations that include both endpoints and whose other
 		// pairwise edges were all inserted earlier.
@@ -136,27 +121,15 @@ func Run(m *connmat.Matrix) (*Result, error) {
 					continue
 				}
 				seen[s.Key()] = true
-				bp := BasePartition{
+				parts = append(parts, BasePartition{
 					Set:        s,
 					FreqWeight: m.MinEdgeWeight(s.Refs()),
 					Resources:  sumResources(d, s),
-				}
-				it.Completed = append(it.Completed, bp)
-				res.Partitions = append(res.Partitions, bp)
+				})
 			}
 		}
-		res.Iterations = append(res.Iterations, it)
 	}
-	return res, nil
-}
-
-// BasePartitions is a convenience wrapper returning only the partitions.
-func BasePartitions(m *connmat.Matrix) ([]BasePartition, error) {
-	res, err := Run(m)
-	if err != nil {
-		return nil, err
-	}
-	return res.Partitions, nil
+	return parts, nil
 }
 
 func sumResources(d *design.Design, s modeset.Set) resource.Vector {
@@ -192,14 +165,14 @@ func edgeKey(a, b design.ModeRef) [2]design.ModeRef {
 
 // allEdges returns every positive-weight edge sorted by weight descending,
 // with deterministic tie-breaking on mode order.
-func allEdges(m *connmat.Matrix) []Edge {
+func allEdges(m *connmat.Matrix) []edge {
 	modes := m.Modes()
-	var edges []Edge
+	var edges []edge
 	for i := 0; i < len(modes); i++ {
 		for j := i + 1; j < len(modes); j++ {
 			w := m.EdgeWeight(modes[i], modes[j])
 			if w > 0 {
-				edges = append(edges, Edge{A: modes[i], B: modes[j], Weight: w})
+				edges = append(edges, edge{A: modes[i], B: modes[j], Weight: w})
 			}
 		}
 	}

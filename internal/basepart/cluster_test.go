@@ -27,16 +27,16 @@ func table1Want() map[string]int {
 
 func TestTable1BasePartitions(t *testing.T) {
 	d := design.PaperExample()
-	res, err := Run(connmat.New(d))
+	parts, err := BasePartitions(connmat.New(d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := table1Want()
-	if len(res.Partitions) != len(want) {
-		t.Errorf("base partitions = %d, want %d", len(res.Partitions), len(want))
+	if len(parts) != len(want) {
+		t.Errorf("base partitions = %d, want %d", len(parts), len(want))
 	}
 	got := make(map[string]int)
-	for _, bp := range res.Partitions {
+	for _, bp := range parts {
 		label := bp.Label(d)
 		if _, dup := got[label]; dup {
 			t.Errorf("duplicate base partition %s", label)
@@ -64,7 +64,7 @@ func TestNonConfigurationCliqueExcluded(t *testing.T) {
 	// {A1,B2,C1} is a triangle of the co-occurrence graph but no single
 	// configuration contains all three; Table I omits it.
 	d := design.PaperExample()
-	res, err := Run(connmat.New(d))
+	parts, err := BasePartitions(connmat.New(d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestNonConfigurationCliqueExcluded(t *testing.T) {
 		design.ModeRef{Module: 1, Mode: 2},
 		design.ModeRef{Module: 2, Mode: 1},
 	)
-	for _, bp := range res.Partitions {
+	for _, bp := range parts {
 		if bp.Set.Equal(bad) {
 			t.Fatalf("clique %s must not become a base partition", bp.Label(d))
 		}
@@ -82,22 +82,19 @@ func TestNonConfigurationCliqueExcluded(t *testing.T) {
 
 func TestEdgesDescendingAndFirstLink(t *testing.T) {
 	d := design.PaperExample()
-	res, err := Run(connmat.New(d))
-	if err != nil {
-		t.Fatal(err)
+	edges := allEdges(connmat.New(d))
+	if len(edges) == 0 {
+		t.Fatal("no edges to insert")
 	}
-	if len(res.Iterations) == 0 {
-		t.Fatal("no iterations recorded")
-	}
-	prev := res.Iterations[0].Edge.Weight
-	for _, it := range res.Iterations[1:] {
-		if it.Edge.Weight > prev {
-			t.Fatalf("edge weights not descending: %d after %d", it.Edge.Weight, prev)
+	prev := edges[0].Weight
+	for _, e := range edges[1:] {
+		if e.Weight > prev {
+			t.Fatalf("edge weights not descending: %d after %d", e.Weight, prev)
 		}
-		prev = it.Edge.Weight
+		prev = e.Weight
 	}
 	// The paper's Fig. 5(a): the first link is A3-B2 (weight 2).
-	first := res.Iterations[0].Edge
+	first := edges[0]
 	names := map[string]bool{d.ModeName(first.A): true, d.ModeName(first.B): true}
 	if first.Weight != 2 || !(names["A.3"] && names["B.2"] || names["B.2"] && names["C.3"]) {
 		// A3-B2 and B2-C3 both have weight 2; either may be first under
@@ -132,16 +129,16 @@ func TestPartitionsAreExactlyConfigSubsets(t *testing.T) {
 		design.VideoReceiverModified(), design.TwoModuleExample(),
 		design.SingleModeExample(),
 	} {
-		res, err := Run(connmat.New(d))
+		parts, err := BasePartitions(connmat.New(d))
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
 		want := enumerateSubsets(d)
 		got := make(map[string]bool)
-		for _, bp := range res.Partitions {
+		for _, bp := range parts {
 			got[bp.Set.Key()] = true
 		}
-		if len(got) != len(res.Partitions) {
+		if len(got) != len(parts) {
 			t.Errorf("%s: duplicate base partitions emitted", d.Name)
 		}
 		for k := range want {
@@ -162,11 +159,11 @@ func TestFrequencyWeightDefinition(t *testing.T) {
 	// otherwise — and always >= the whole-set support.
 	for _, d := range []*design.Design{design.PaperExample(), design.VideoReceiver()} {
 		m := connmat.New(d)
-		res, err := Run(m)
+		parts, err := BasePartitions(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bp := range res.Partitions {
+		for _, bp := range parts {
 			refs := bp.Set.Refs()
 			want := m.MinEdgeWeight(refs)
 			if bp.FreqWeight != want {
@@ -184,11 +181,11 @@ func TestFrequencyWeightDefinition(t *testing.T) {
 
 func TestResourcesAreMemberSums(t *testing.T) {
 	d := design.VideoReceiver()
-	res, err := Run(connmat.New(d))
+	parts, err := BasePartitions(connmat.New(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bp := range res.Partitions {
+	for _, bp := range parts {
 		var want = bp.Resources.Sub(bp.Resources) // zero
 		for _, r := range bp.Set.Refs() {
 			want = want.Add(d.ModeResources(r))
@@ -213,8 +210,8 @@ func TestConfigTooLargeRejected(t *testing.T) {
 		cfg.Modes[i] = 1
 	}
 	d.Configurations = []design.Configuration{cfg}
-	if _, err := Run(connmat.New(d)); err == nil {
-		t.Fatal("Run accepted an oversized configuration")
+	if _, err := BasePartitions(connmat.New(d)); err == nil {
+		t.Fatal("BasePartitions accepted an oversized configuration")
 	}
 }
 
@@ -222,12 +219,12 @@ func TestSingleModeExampleClusters(t *testing.T) {
 	// §IV-D: single-mode modules with disjoint configurations produce the
 	// two configuration cliques and no cross-configuration partitions.
 	d := design.SingleModeExample()
-	res, err := Run(connmat.New(d))
+	parts, err := BasePartitions(connmat.New(d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Subsets: config0 (2 modes) -> 3, config1 (3 modes) -> 7; disjoint.
-	if len(res.Partitions) != 10 {
-		t.Errorf("partitions = %d, want 10", len(res.Partitions))
+	if len(parts) != 10 {
+		t.Errorf("partitions = %d, want 10", len(parts))
 	}
 }

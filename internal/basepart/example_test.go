@@ -9,20 +9,23 @@ import (
 )
 
 // Clustering the paper's worked example yields exactly the 26 base
-// partitions of Table I; the first edge linked is the heaviest
-// co-occurrence (weight 2, as in Fig. 5a).
-func ExampleRun() {
+// partitions of Table I, 8 of them the single-mode starting nodes.
+func ExampleBasePartitions() {
 	d := design.PaperExample()
-	res, err := basepart.Run(connmat.New(d))
+	parts, err := basepart.BasePartitions(connmat.New(d))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("base partitions: %d\n", len(res.Partitions))
-	fmt.Printf("singletons: %d\n", len(res.Singletons))
-	fmt.Printf("first edge weight: %d\n", res.Iterations[0].Edge.Weight)
+	singletons := 0
+	for _, bp := range parts {
+		if bp.Set.Len() == 1 {
+			singletons++
+		}
+	}
+	fmt.Printf("base partitions: %d\n", len(parts))
+	fmt.Printf("singletons: %d\n", singletons)
 	// Output:
 	// base partitions: 26
 	// singletons: 8
-	// first edge weight: 2
 }

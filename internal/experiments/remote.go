@@ -180,6 +180,28 @@ func (cfg *RemoteConfig) checkQuery(path string) string {
 	return path
 }
 
+// roundTrip sends one request (a POST of body when body is non-nil, a
+// GET otherwise) and returns the response with its body read in full
+// and closed. A connection or read failure comes back as err.
+func (cfg *RemoteConfig) roundTrip(url string, body []byte) (*http.Response, []byte, error) {
+	var resp *http.Response
+	var err error
+	if body != nil {
+		resp, err = cfg.Client.Post(url, "application/json", bytes.NewReader(body))
+	} else {
+		resp, err = cfg.Client.Get(url)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	rb, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, rb, nil
+}
+
 // ---------------------------------------------------------------------
 // Batch client
 // ---------------------------------------------------------------------
@@ -316,31 +338,14 @@ func (b *Batcher) flush(calls []*batchCall) {
 			}
 			return
 		}
-		resp, err := b.cfg.Client.Post(b.nextURL("/v1/solve/batch"), "application/json", bytes.NewReader(body))
+		br, wait, err := b.post(body, len(calls))
+		if wait > 0 {
+			time.Sleep(wait)
+			continue
+		}
 		if err != nil {
-			time.Sleep(b.cfg.RetryBase)
-			continue
-		}
-		rb, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			time.Sleep(b.cfg.RetryBase)
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			time.Sleep(b.cfg.retryDelay(resp.Header.Get("Retry-After")))
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
 			for _, c := range calls {
-				c.err = remoteErr(resp.StatusCode, string(rb))
-			}
-			return
-		}
-		var br serve.BatchResponse
-		if err := json.Unmarshal(rb, &br); err != nil || len(br.Results) != len(calls) {
-			for _, c := range calls {
-				c.err = fmt.Errorf("experiments: bad batch response: %v (%d results for %d members)", err, len(br.Results), len(calls))
+				c.err = err
 			}
 			return
 		}
@@ -361,33 +366,28 @@ func (b *Batcher) flush(calls []*batchCall) {
 	}
 }
 
-// retryOne re-posts a single refused member until it lands.
+// retryOne re-posts a single refused member until it lands. Each wait
+// follows the last refusal: RetryBase after a member-level 503 or a
+// connection error, the Retry-After hint after an HTTP 503.
 func (b *Batcher) retryOne(c *batchCall) {
 	body, err := json.Marshal(serve.BatchRequest{Requests: []json.RawMessage{c.body}})
 	if err != nil {
 		c.err = err
 		return
 	}
+	wait := b.cfg.RetryBase
 	for attempt := 0; attempt < b.cfg.MaxAttempts; attempt++ {
-		time.Sleep(b.cfg.RetryBase)
-		resp, err := b.cfg.Client.Post(b.nextURL("/v1/solve/batch"), "application/json", bytes.NewReader(body))
+		time.Sleep(wait)
+		br, w, err := b.post(body, 1)
+		if w > 0 {
+			wait = w
+			continue
+		}
 		if err != nil {
-			continue
-		}
-		rb, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode == http.StatusServiceUnavailable {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			c.err = remoteErr(resp.StatusCode, string(rb))
+			c.err = err
 			return
 		}
-		var br serve.BatchResponse
-		if err := json.Unmarshal(rb, &br); err != nil || len(br.Results) != 1 {
-			c.err = fmt.Errorf("experiments: bad single-member batch response: %v", err)
-			return
-		}
+		wait = b.cfg.RetryBase
 		item := br.Results[0]
 		if item.Status == http.StatusServiceUnavailable {
 			continue
@@ -400,6 +400,29 @@ func (b *Batcher) retryOne(c *batchCall) {
 		return
 	}
 	c.err = fmt.Errorf("experiments: member retry gave up after %d attempts", b.cfg.MaxAttempts)
+}
+
+// post sends one /v1/solve/batch body of the given member count to the
+// next daemon in the rotation. A refused exchange (connection or read
+// error, HTTP 503) returns the wait before the caller's next attempt;
+// any other non-200 status or a malformed reply is a terminal err for
+// every member.
+func (b *Batcher) post(body []byte, members int) (serve.BatchResponse, time.Duration, error) {
+	var br serve.BatchResponse
+	resp, rb, err := b.cfg.roundTrip(b.nextURL("/v1/solve/batch"), body)
+	if err != nil {
+		return br, b.cfg.RetryBase, nil
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		return br, b.cfg.retryDelay(resp.Header.Get("Retry-After")), nil
+	}
+	if resp.StatusCode != http.StatusOK {
+		return br, 0, remoteErr(resp.StatusCode, string(rb))
+	}
+	if err := json.Unmarshal(rb, &br); err != nil || len(br.Results) != members {
+		return br, 0, fmt.Errorf("experiments: bad batch response: %v (%d results for %d members)", err, len(br.Results), members)
+	}
+	return br, 0, nil
 }
 
 // ---------------------------------------------------------------------
@@ -503,14 +526,9 @@ func AsyncSolver(cfg RemoteConfig) Solver {
 // ("", retryHint, nil) when the daemon refused with 503 or the
 // connection failed — the caller backs off and resubmits.
 func submitJob(cfg *RemoteConfig, body []byte) (string, string, error) {
-	resp, err := cfg.Client.Post(cfg.BaseURL+cfg.checkQuery("/v1/jobs"), "application/json", bytes.NewReader(body))
+	resp, rb, err := cfg.roundTrip(cfg.BaseURL+cfg.checkQuery("/v1/jobs"), body)
 	if err != nil {
-		return "", "connection: " + err.Error(), nil
-	}
-	rb, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return "", "read: " + rerr.Error(), nil
+		return "", "exchange: " + err.Error(), nil
 	}
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
@@ -531,14 +549,9 @@ func submitJob(cfg *RemoteConfig, body []byte) (string, string, error) {
 // pollJob fetches the job record. Connection problems surface as
 // errors; HTTP outcomes as (rec, status).
 func pollJob(cfg *RemoteConfig, id string) (jobs.Record, int, error) {
-	resp, err := cfg.Client.Get(cfg.BaseURL + "/v1/jobs/" + id)
+	resp, rb, err := cfg.roundTrip(cfg.BaseURL+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return jobs.Record{}, 0, err
-	}
-	rb, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return jobs.Record{}, 0, rerr
 	}
 	if resp.StatusCode != http.StatusOK {
 		return jobs.Record{}, resp.StatusCode, nil
@@ -554,13 +567,8 @@ func pollJob(cfg *RemoteConfig, id string) (jobs.Record, int, error) {
 // the result is gone (evicted store, restarted daemon) and the solve
 // should be resubmitted.
 func fetchJobResult(cfg *RemoteConfig, id string) (*partition.Result, bool, error) {
-	resp, err := cfg.Client.Get(cfg.BaseURL + "/v1/jobs/" + id + "/result")
+	resp, rb, err := cfg.roundTrip(cfg.BaseURL+"/v1/jobs/"+id+"/result", nil)
 	if err != nil {
-		return nil, true, nil
-	}
-	rb, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
 		return nil, true, nil
 	}
 	switch resp.StatusCode {

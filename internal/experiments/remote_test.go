@@ -309,3 +309,58 @@ func TestRemoteBatchInfeasibleEscalates(t *testing.T) {
 		t.Fatalf("infeasible remote solve returned %v, want the exact partition sentinel", err)
 	}
 }
+
+// TestRemoteBatchMemberRetryHonoursRetryAfter pins the member retry's
+// back-off: a member refused inside a 200 batch retries alone, and
+// when that single-member exchange is refused with HTTP 503 the next
+// attempt waits for the Retry-After hint (capped at RetryCap), not
+// RetryBase — the same rule a refused whole-batch flush follows.
+func TestRemoteBatchMemberRetryHonoursRetryAfter(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 2})
+	defer srv.Close()
+	daemon := srv.Handler()
+	var exchanges atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch exchanges.Add(1) {
+		case 1: // the flush: the batch lands, its one member is shed
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(`{"results":[{"status":503,"error":"shed"}]}`))
+		case 2: // the member's first retry: the whole exchange is refused
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+		default:
+			daemon.ServeHTTP(w, r)
+		}
+	}))
+	defer ts.Close()
+
+	b := NewBatcher(RemoteConfig{
+		BaseURL:   ts.URL,
+		RetryBase: time.Millisecond,
+		RetryCap:  200 * time.Millisecond,
+	})
+	defer b.Close()
+
+	d := design.PaperExample()
+	opts := partition.Options{Budget: partition.Modular(d).TotalResources()}
+	want, err := partition.Solve(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := b.Solver()(d, opts)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("member retry: %v", err)
+	}
+	if got.Summary.Total != want.Summary.Total || got.Summary.Worst != want.Summary.Worst ||
+		got.Summary.Regions != want.Summary.Regions {
+		t.Fatalf("remote summary %+v, want %+v", got.Summary, want.Summary)
+	}
+	if n := exchanges.Load(); n != 3 {
+		t.Fatalf("%d exchanges, want 3 (flush, refused retry, landed retry)", n)
+	}
+	if elapsed < 150*time.Millisecond {
+		t.Fatalf("solve took %v: the retry after an HTTP 503 ignored Retry-After (capped at 200ms)", elapsed)
+	}
+}

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 
 // forced returns options that coarsen even the smallest corpus designs,
 // so the full chain (matching, coarse solve, projection, refinement) is
-// exercised where the reference engine can still be run alongside.
+// exercised where the standard engine can still be run alongside.
 func forced(popts partition.Options) Options {
 	return Options{Partition: popts, Seed: 1, Threshold: 1, CoarseNodes: 8, MaxConfigNodes: 4}
 }
@@ -80,14 +81,20 @@ func corpusDesigns(t testing.TB) []*design.Design {
 }
 
 // TestDifferentialMultilevelVsReference is the engine's correctness
-// anchor on instances the reference oracle can still enumerate:
+// anchor on instances the standard engine can still enumerate. The
+// reference here is partition.SolveContext: this corpus (the paper
+// designs, synthetic.Generate(1, 100|20|10), modular and tight-85%
+// budgets) is the partition package's own differential corpus, where
+// TestDifferentialIncrementalVsReference pins SolveContext byte for
+// byte to the retained pre-incremental oracle, so the chain of proof
+// still ends at that oracle.
 //
 //   - below the coarsening threshold the multilevel engine delegates,
-//     and its result is byte-identical to the reference engine's
+//     and its result is byte-identical to partition.SolveContext's
 //     (scheme, summary, state counts, trace — everything);
-//   - with coarsening forced, the result must cost no more than the
-//     reference's (the chain may find a better basin; the polish pass
-//     guarantees it never finds a worse one), must pass the
+//   - with coarsening forced, the result must cost no more than
+//     SolveContext's (the chain may find a better basin; the polish
+//     pass guarantees it never finds a worse one), must pass the
 //     solver-independent oracle, and the engines must agree on
 //     solvability;
 //   - both paths are deterministic: a second run reproduces the first
@@ -105,7 +112,7 @@ func TestDifferentialMultilevelVsReference(t *testing.T) {
 		} {
 			label := d.Name + "/" + bc.name
 			popts := partition.Options{Budget: bc.budget}
-			ref, rerr := partition.ReferenceSolve(nil, d, popts)
+			ref, rerr := partition.SolveContext(context.Background(), d, popts)
 
 			// Delegated path: byte identity with the engine family.
 			ml, merr := Solve(d, Options{Partition: popts, Seed: 1})

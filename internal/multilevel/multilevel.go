@@ -292,8 +292,9 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 }
 
 // enumerable reports whether the standard engine can run on the design
-// at all (basepart.Run's per-configuration 2^k enumeration caps actives
-// at MaxConfigModes) and cheaply enough to be worth a polish pass.
+// at all (basepart.BasePartitions' per-configuration 2^k enumeration
+// caps actives at MaxConfigModes) and cheaply enough to be worth a
+// polish pass.
 func enumerable(d *design.Design, m *connmat.Matrix) bool {
 	if m.NumModes() > polishModeCap {
 		return false

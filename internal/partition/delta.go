@@ -24,12 +24,12 @@ import (
 //     walks every group.
 //
 // Determinism contract: every quantity produced here is exactly the
-// integer the non-incremental reference path (moveDelta, totalCost,
-// totalArea in reference.go / state.go) computes — not approximately,
-// bit for bit — so the optimised descent visits the same states in the
-// same order and returns byte-identical schemes and traces. The
-// differential and property suites in delta_test.go and
-// incremental_differential_test.go enforce this.
+// integer the non-incremental reference path computes (the oracle's
+// moveDelta in reference_test.go; totalCost and totalArea in state.go)
+// — not approximately, bit for bit — so the optimised descent visits
+// the same states in the same order and returns byte-identical schemes
+// and traces. The differential and property suites in delta_test.go
+// and incremental_differential_test.go enforce this.
 
 // scoredMove is a first move paired with its cost delta, for the
 // restart-ordering sort in run.
@@ -328,14 +328,15 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 	return e
 }
 
-// evalMove is the incremental counterpart of moveDelta for merge and
-// static-promotion moves (transfers go through the scan's dense rows,
-// see moveScan.transfers): it produces a candidate move's exact cost delta,
-// resulting total area and budget violation from the delta cache and
-// the state's running aggregates, and applies the area-based rejection
-// rule the greedy policy uses (while feasible a move must stay
-// feasible; while infeasible it must shrink the violation). ok=false
-// reports such a rejection.
+// evalMove is the incremental counterpart of the oracle's moveDelta
+// (reference_test.go) for merge and static-promotion moves (transfers
+// go through the scan's dense rows, see moveScan.transfers): it
+// produces a candidate move's exact cost delta, resulting total area
+// and budget violation from the delta cache and the state's running
+// aggregates, and applies the area-based rejection rule the greedy
+// policy uses (while feasible a move must stay feasible; while
+// infeasible it must shrink the violation). ok=false reports such a
+// rejection.
 func (s *searcher) evalMove(sc *scratch, st *state, mv move, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
 	if mv.j < 0 {
 		g := st.groups[mv.i]

@@ -45,9 +45,8 @@ func resultFingerprint(d *design.Design, res *Result) string {
 // on any observable divergence, including disagreeing errors.
 func diffCase(t *testing.T, label string, d *design.Design, opts Options) {
 	t.Helper()
-	ctx := context.Background()
-	got, gerr := solveSearch(ctx, d, opts, false)
-	want, werr := solveSearch(ctx, d, opts, true)
+	got, gerr := solveOnce(context.Background(), d, opts)
+	want, werr := referenceSolve(d, opts)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%s: engines disagree on error: incremental=%v reference=%v", label, gerr, werr)
 	}

@@ -1,24 +1,44 @@
 package partition
 
 import (
-	"context"
 	"sort"
 
 	"prpart/internal/design"
+	"prpart/internal/device"
+	"prpart/internal/resource"
 )
 
 // This file retains the pre-incremental search engine, verbatim, as the
 // oracle for differential testing (the same role baselines.go plays for
-// the cost model): referenceRun recomputes every move delta from first
-// principles via moveDelta, recomputes totalArea per iteration, applies
-// moves by cloning, and snapshots every feasible state. It shares state
-// construction (initial, moduleGrouped, newGroup), move enumeration and
-// snapshot semantics with the optimised engine but touches none of the
-// delta cache, quantisation memo or running aggregates, so any
-// incremental-bookkeeping bug shows up as a divergence in
-// TestDifferentialIncrementalVsReference. It also skips the search
-// counters — oracle runs must not perturb the optimised path's
-// deterministic observability contract.
+// the cost model). It lives in a test file so the shipped package
+// compiles one engine; referenceSolve runs it over the same candidate
+// sets solveOnce searches. referenceRun recomputes every move delta
+// from first principles via moveDelta, recomputes totalArea per
+// iteration, applies moves by cloning, and snapshots every feasible
+// state. It shares state construction (initial, moduleGrouped,
+// newGroup), move enumeration and snapshot semantics with the optimised
+// engine but touches none of the delta cache, quantisation memo or
+// running aggregates, so any incremental-bookkeeping bug shows up as a
+// divergence in TestDifferentialIncrementalVsReference. referenceRun
+// also skips the search counters — oracle runs must not perturb the optimised
+// path's deterministic observability contract.
+
+// referenceSolve is solveOnce with every candidate set searched by
+// referenceRun instead of (*searcher).run: the same clustering phase,
+// the same selection phase, and the serial path's shared scratch.
+func referenceSolve(d *design.Design, opts Options) (*Result, error) {
+	m, sets, err := candidateSets(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	snaps := make([]*snapshot, len(sets))
+	counts := make([]int, len(sets))
+	sc := newScratch()
+	for i := range sets {
+		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).referenceRun()
+	}
+	return bestResult(d, opts, snaps, counts)
+}
 
 // referenceRun is the oracle counterpart of (*searcher).run.
 func (s *searcher) referenceRun() (*snapshot, int) {
@@ -186,13 +206,63 @@ func (s *searcher) referenceGreedy(st *state, allowStatic, allowTransfers bool, 
 	}
 }
 
-// ReferenceSolve runs the retained pre-incremental engine end to end —
-// the differential oracle SolveContext's optimised path is proven
-// against. Exported so suites outside this package (the multilevel
-// differential tests) can compare against the same oracle.
-func ReferenceSolve(ctx context.Context, d *design.Design, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// moveDelta predicts the cost and area effect of a move without building
+// the new state, from first principles: it rebuilds the affected groups
+// and recomputes the area sum. It is the non-incremental oracle the
+// delta cache is differentially tested against, and the oracle's move
+// scorer; the production engine scores moves in scan.go.
+func (s *searcher) moveDelta(st *state, mv move) (dCost int64, newArea resource.Vector) {
+	area := st.totalArea()
+	if mv.part >= 0 && mv.j >= 0 {
+		gi, gj := st.groups[mv.i], st.groups[mv.j]
+		pi := gi.parts[mv.part]
+		rest := make([]int, 0, len(gi.parts)-1)
+		for k, p := range gi.parts {
+			if k != mv.part {
+				rest = append(rest, p)
+			}
+		}
+		dst := s.newGroup(append(append([]int(nil), gj.parts...), pi)...)
+		var src *group
+		srcContrib, srcArea := int64(0), resource.Vector{}
+		if len(rest) > 0 {
+			src = s.newGroup(rest...)
+			srcContrib, srcArea = src.contrib, src.area
+		}
+		dCost = dst.contrib + srcContrib - gi.contrib - gj.contrib
+		newArea = area.Sub(gi.area).Sub(gj.area).Add(dst.area).Add(srcArea)
+		return dCost, newArea
 	}
-	return solveSearch(ctx, d, opts, true)
+	if mv.j < 0 {
+		g := st.groups[mv.i]
+		var raw resource.Vector
+		for _, pi := range g.parts {
+			raw = raw.Add(s.partRes[pi])
+		}
+		return -g.contrib, area.Sub(g.area).Add(raw)
+	}
+	gi, gj := st.groups[mv.i], st.groups[mv.j]
+	res := gi.res.Max(gj.res)
+	frames := s.searchFrames(res)
+	var contrib int64
+	if s.weights != nil {
+		merged := make([]int32, len(gi.act))
+		for ci := range merged {
+			// Compatibility guarantees at most one side is active.
+			if gi.act[ci] != 0 {
+				merged[ci] = gi.act[ci]
+			} else {
+				merged[ci] = gj.act[ci]
+			}
+		}
+		contrib = frames * s.weightedDiff(merged)
+	} else {
+		a := int64(gi.active + gj.active)
+		sq := gi.sumSq + gj.sumSq
+		contrib = frames * (a*a - sq) / 2
+	}
+	dCost = contrib - gi.contrib - gj.contrib
+	mergedArea := device.TilesToPrimitives(device.Tiles(res))
+	newArea = area.Sub(gi.area).Sub(gj.area).Add(mergedArea)
+	return dCost, newArea
 }

@@ -203,65 +203,13 @@ func SolveContext(ctx context.Context, d *design.Design, opts Options) (*Result,
 	return solveOnce(ctx, d, opts)
 }
 
-// solveOnce is one search run under a single objective.
+// solveOnce is one search run under a single objective: cluster the
+// design into candidate sets, search every set, keep the best scheme.
 func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, error) {
-	return solveSearch(ctx, d, opts, false)
-}
-
-// solveSearch is solveOnce with an engine selector: useReference routes
-// every candidate set through the retained pre-incremental oracle in
-// reference.go instead of the optimised descent. Differential tests use
-// it to prove the two engines return identical results; production
-// callers always pass false.
-func solveSearch(ctx context.Context, d *design.Design, opts Options, useReference bool) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: invalid design: %w", err)
-	}
-	if len(opts.PinnedStatic) > 0 {
-		if opts.NoStatic {
-			return nil, errors.New("partition: PinnedStatic conflicts with NoStatic")
-		}
-		used := make(map[design.ModeRef]bool)
-		for _, r := range d.UsedModes() {
-			used[r] = true
-		}
-		for _, r := range opts.PinnedStatic {
-			if !used[r] {
-				return nil, fmt.Errorf("partition: pinned mode %s is not used by any configuration", d.ModeName(r))
-			}
-		}
-	}
-	stopCluster := opts.Obs.Timer("partition.phase.cluster").Time()
-	m := connmat.New(d)
-
-	// Feasibility pre-check (§IV-C): the minimum possible area is the
-	// largest configuration in a single region.
-	if !SingleRegion(d).FitsIn(opts.Budget) {
-		stopCluster()
-		return nil, ErrInfeasible
-	}
-
-	parts, err := basepart.BasePartitions(m)
+	m, sets, err := candidateSets(d, opts)
 	if err != nil {
-		stopCluster()
 		return nil, err
 	}
-	ordered := cover.Order(parts)
-	if opts.CoverDescending {
-		for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
-			ordered[i], ordered[j] = ordered[j], ordered[i]
-		}
-	}
-	limit := opts.maxSets()
-	if opts.GreedyOnly {
-		limit = 1
-	}
-	sets := cover.SetsN(ordered, m, limit)
-	stopCluster()
-	opts.Obs.Counter("partition.candidate_sets").Add(int64(len(sets)))
-	opts.Obs.Emit("partition", "search.start",
-		obs.Str("design", d.Name), obs.Int("candidate_sets", int64(len(sets))))
-
 	snaps := make([]*snapshot, len(sets))
 	counts := make([]int, len(sets))
 	workers := opts.Workers
@@ -274,12 +222,7 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 	// scratch; the searcher itself is cheap, the scratch holds the
 	// buffers and caches worth keeping warm across sets.
 	runSet := func(i int, sc *scratch) {
-		s := newSearcher(d, m, sets[i], opts, sc)
-		if useReference {
-			snaps[i], counts[i] = s.referenceRun()
-		} else {
-			snaps[i], counts[i] = s.run()
-		}
+		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).run()
 	}
 	if workers <= 1 || len(sets) <= 1 {
 		opts.Obs.Gauge("partition.workers").Observe(1)
@@ -325,6 +268,68 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 			obs.Str("design", d.Name), obs.Str("cause", err.Error()))
 		return nil, fmt.Errorf("partition: search cancelled: %w", err)
 	}
+	return bestResult(d, opts, snaps, counts)
+}
+
+// candidateSets is the search's clustering phase: it validates the
+// design and options, rejects a budget below the single-region minimum,
+// and returns the connectivity matrix with the candidate sets to search.
+func candidateSets(d *design.Design, opts Options) (*connmat.Matrix, []*cover.CandidateSet, error) {
+	if err := d.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("partition: invalid design: %w", err)
+	}
+	if len(opts.PinnedStatic) > 0 {
+		if opts.NoStatic {
+			return nil, nil, errors.New("partition: PinnedStatic conflicts with NoStatic")
+		}
+		used := make(map[design.ModeRef]bool)
+		for _, r := range d.UsedModes() {
+			used[r] = true
+		}
+		for _, r := range opts.PinnedStatic {
+			if !used[r] {
+				return nil, nil, fmt.Errorf("partition: pinned mode %s is not used by any configuration", d.ModeName(r))
+			}
+		}
+	}
+	stopCluster := opts.Obs.Timer("partition.phase.cluster").Time()
+	m := connmat.New(d)
+
+	// Feasibility pre-check (§IV-C): the minimum possible area is the
+	// largest configuration in a single region.
+	if !SingleRegion(d).FitsIn(opts.Budget) {
+		stopCluster()
+		return nil, nil, ErrInfeasible
+	}
+
+	parts, err := basepart.BasePartitions(m)
+	if err != nil {
+		stopCluster()
+		return nil, nil, err
+	}
+	ordered := cover.Order(parts)
+	if opts.CoverDescending {
+		for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
+			ordered[i], ordered[j] = ordered[j], ordered[i]
+		}
+	}
+	limit := opts.maxSets()
+	if opts.GreedyOnly {
+		limit = 1
+	}
+	sets := cover.SetsN(ordered, m, limit)
+	stopCluster()
+	opts.Obs.Counter("partition.candidate_sets").Add(int64(len(sets)))
+	opts.Obs.Emit("partition", "search.start",
+		obs.Str("design", d.Name), obs.Int("candidate_sets", int64(len(sets))))
+
+	return m, sets, nil
+}
+
+// bestResult is the search's selection phase: the best snapshot over
+// all candidate sets (the earliest set wins a tie) becomes the Result,
+// with counts[i] the states candidate set i explored.
+func bestResult(d *design.Design, opts Options, snaps []*snapshot, counts []int) (*Result, error) {
 	var best *snapshot
 	states := 0
 	for i, snap := range snaps {
@@ -354,7 +359,7 @@ func solveSearch(ctx context.Context, d *design.Design, opts Options, useReferen
 	return &Result{
 		Scheme:        sch,
 		Summary:       sum,
-		CandidateSets: len(sets),
+		CandidateSets: len(snaps),
 		States:        states,
 		Trace:         best.trace(),
 	}, nil

@@ -26,7 +26,8 @@ type state struct {
 	// cost and area are running aggregates maintained by applyMove:
 	// cost == totalCost() and area == totalArea() at all times on the
 	// optimised path, so per-candidate evaluation never walks the
-	// groups. The reference engine ignores them and recomputes.
+	// groups. The test-only reference engine (reference_test.go)
+	// ignores them and recomputes.
 	cost int64
 	area resource.Vector
 }
@@ -304,67 +305,6 @@ func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTra
 		}
 	}
 	return out
-}
-
-// moveDelta predicts the cost and area effect of a move without building
-// the new state, from first principles: it rebuilds the affected groups
-// and recomputes the area sum. It is the non-incremental oracle the
-// delta cache is differentially tested against (see reference.go) and
-// is no longer on the hot path — the move scan in scan.go is.
-func (s *searcher) moveDelta(st *state, mv move) (dCost int64, newArea resource.Vector) {
-	area := st.totalArea()
-	if mv.part >= 0 && mv.j >= 0 {
-		gi, gj := st.groups[mv.i], st.groups[mv.j]
-		pi := gi.parts[mv.part]
-		rest := make([]int, 0, len(gi.parts)-1)
-		for k, p := range gi.parts {
-			if k != mv.part {
-				rest = append(rest, p)
-			}
-		}
-		dst := s.newGroup(append(append([]int(nil), gj.parts...), pi)...)
-		var src *group
-		srcContrib, srcArea := int64(0), resource.Vector{}
-		if len(rest) > 0 {
-			src = s.newGroup(rest...)
-			srcContrib, srcArea = src.contrib, src.area
-		}
-		dCost = dst.contrib + srcContrib - gi.contrib - gj.contrib
-		newArea = area.Sub(gi.area).Sub(gj.area).Add(dst.area).Add(srcArea)
-		return dCost, newArea
-	}
-	if mv.j < 0 {
-		g := st.groups[mv.i]
-		var raw resource.Vector
-		for _, pi := range g.parts {
-			raw = raw.Add(s.partRes[pi])
-		}
-		return -g.contrib, area.Sub(g.area).Add(raw)
-	}
-	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	res := gi.res.Max(gj.res)
-	frames := s.searchFrames(res)
-	var contrib int64
-	if s.weights != nil {
-		merged := make([]int32, len(gi.act))
-		for ci := range merged {
-			// Compatibility guarantees at most one side is active.
-			if gi.act[ci] != 0 {
-				merged[ci] = gi.act[ci]
-			} else {
-				merged[ci] = gj.act[ci]
-			}
-		}
-		contrib = frames * s.weightedDiff(merged)
-	} else {
-		a := int64(gi.active + gj.active)
-		sq := gi.sumSq + gj.sumSq
-		contrib = frames * (a*a - sq) / 2
-	}
-	dCost = contrib - gi.contrib - gj.contrib
-	mergedArea := device.TilesToPrimitives(device.Tiles(res))
-	newArea = area.Sub(gi.area).Sub(gj.area).Add(mergedArea)
-	return dCost, newArea
 }
 
 func (s *searcher) feasible(area resource.Vector) bool {
