@@ -63,7 +63,7 @@ func BasePartitions(m *connmat.Matrix) ([]BasePartition, error) {
 	d := m.Design()
 	for ci := range d.Configurations {
 		if n := len(d.ConfigModes(ci)); n > MaxConfigModes {
-			return nil, fmt.Errorf("cluster: configuration %d has %d active modes; max supported is %d",
+			return nil, fmt.Errorf("basepart: configuration %d has %d active modes; max supported is %d",
 				ci, n, MaxConfigModes)
 		}
 	}

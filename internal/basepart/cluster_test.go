@@ -1,6 +1,7 @@
 package basepart
 
 import (
+	"strings"
 	"testing"
 
 	"prpart/internal/connmat"
@@ -210,8 +211,12 @@ func TestConfigTooLargeRejected(t *testing.T) {
 		cfg.Modes[i] = 1
 	}
 	d.Configurations = []design.Configuration{cfg}
-	if _, err := BasePartitions(connmat.New(d)); err == nil {
+	_, err := BasePartitions(connmat.New(d))
+	if err == nil {
 		t.Fatal("BasePartitions accepted an oversized configuration")
+	}
+	if !strings.HasPrefix(err.Error(), "basepart: ") {
+		t.Errorf("error %q does not name its package", err)
 	}
 }
 

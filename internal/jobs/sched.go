@@ -151,11 +151,12 @@ func (s *Scheduler) Enqueue(ctx context.Context, tier Tier, fn func(ctx context.
 
 // EnqueueWait is Enqueue that blocks while the tier is full, for
 // clients that want flow control instead of a refusal (the batch
-// endpoint feeding many members). It returns ctx's cause if the context
-// dies while waiting.
-func (s *Scheduler) EnqueueWait(ctx context.Context, tier Tier, fn func(ctx context.Context)) (*Ticket, error) {
+// endpoint feeding many members). ctx bounds the wait: EnqueueWait
+// returns ctx's cause if it dies first. The ticket carries run, so the
+// admitted work can outlive the caller that queued it.
+func (s *Scheduler) EnqueueWait(ctx, run context.Context, tier Tier, fn func(ctx context.Context)) (*Ticket, error) {
 	for {
-		t, err := s.Enqueue(ctx, tier, fn)
+		t, err := s.Enqueue(run, tier, fn)
 		if err != ErrTierFull {
 			return t, err
 		}

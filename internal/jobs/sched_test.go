@@ -240,7 +240,7 @@ func TestSchedulerEnqueueWaitBlocksUntilSpace(t *testing.T) {
 	var second atomic.Bool
 	enq := make(chan error, 1)
 	go func() {
-		_, err := s.EnqueueWait(context.Background(), Bulk, func(context.Context) { second.Store(true) })
+		_, err := s.EnqueueWait(context.Background(), context.Background(), Bulk, func(context.Context) { second.Store(true) })
 		enq <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -265,7 +265,7 @@ func TestSchedulerEnqueueWaitBlocksUntilSpace(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := s.EnqueueWait(ctx, Bulk, func(context.Context) {}); err != context.Canceled {
+	if _, err := s.EnqueueWait(ctx, ctx, Bulk, func(context.Context) {}); err != context.Canceled {
 		t.Fatalf("EnqueueWait on dead ctx = %v, want context.Canceled", err)
 	}
 	close(blocked)

@@ -53,6 +53,17 @@ type scratch struct {
 	quant  map[resource.Vector]quantEntry
 	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
 	nextID uint64
+	n      tally
+}
+
+// tally counts cache and memo outcomes in plain fields of the scratch
+// that owns them, so the hot path does no atomic adds; a shard only
+// writes its own scratch. searcher.flushCounts adds the tallies to the
+// shared instruments once per searcher.
+type tally struct {
+	deltaHit, deltaMiss int64
+	quantHit, quantMiss int64
+	snapSkip            int64
 }
 
 func newScratch() *scratch {
@@ -73,6 +84,7 @@ func (sc *scratch) reset() {
 		clear(sc.ext[i].flags)
 	}
 	sc.nextID = 0
+	sc.n = tally{}
 }
 
 // Delta-cache key kinds, stored in the top bits of pairKey.a. Group ids
@@ -194,10 +206,10 @@ type quantEntry struct {
 // goroutines.
 func (s *searcher) quantize(sc *scratch, res resource.Vector) (area resource.Vector, frames int64) {
 	if e, ok := sc.quant[res]; ok {
-		s.cQuantHit.Inc()
+		sc.n.quantHit++
 		return e.area, e.frames
 	}
-	s.cQuantMiss.Inc()
+	sc.n.quantMiss++
 	area = device.TilesToPrimitives(device.Tiles(res))
 	frames = s.searchFrames(res)
 	sc.quant[res] = quantEntry{area: area, frames: frames}
@@ -213,10 +225,10 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 	}
 	key := pairKey(kindMerge, a, b)
 	if e, ok := sc.pairs.get(key); ok {
-		s.cDeltaHit.Inc()
+		sc.n.deltaHit++
 		return e
 	}
-	s.cDeltaMiss.Inc()
+	sc.n.deltaMiss++
 	res := gi.res.Max(gj.res)
 	area, frames := s.quantize(sc, res)
 	var contrib int64
@@ -248,10 +260,10 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 	key := pairKey(kindExtend, gj.id, uint64(pi))
 	if e, ok := sc.pairs.get(key); ok {
-		s.cDeltaHit.Inc()
+		sc.n.deltaHit++
 		return e
 	}
-	s.cDeltaMiss.Inc()
+	sc.n.deltaMiss++
 	res := gj.res.Max(s.partRes[pi])
 	area, frames := s.quantize(sc, res)
 	var contrib int64
@@ -284,10 +296,10 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 	pi := gi.parts[k]
 	key := pairKey(kindShrink, gi.id, uint64(pi))
 	if e, ok := sc.pairs.get(key); ok {
-		s.cDeltaHit.Inc()
+		sc.n.deltaHit++
 		return e
 	}
-	s.cDeltaMiss.Inc()
+	sc.n.deltaMiss++
 	var res resource.Vector
 	var active int
 	var sumSq int64

@@ -67,7 +67,7 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 	}
 	scanned := map[[2]int]*slotScan{}
 	s.scan.prepare(st, 1, true, true)
-	for _, mv := range s.appendLegalMoves(nil, st, true, true) {
+	for _, mv := range s.appendAllMoves(nil, st, true, true) {
 		wantD, wantArea := s.moveDelta(st, mv)
 		wantV := s.violation(wantArea)
 		if mv.part >= 0 {
@@ -149,7 +149,7 @@ func TestDeltaCacheMatchesMoveDelta(t *testing.T) {
 				st := s.initial()
 				for step := 0; step < 12; step++ {
 					checkStateAgainstOracle(t, label, s, st, step)
-					moves := s.appendLegalMoves(nil, st, true, true)
+					moves := s.appendAllMoves(nil, st, true, true)
 					if len(moves) == 0 {
 						break
 					}
@@ -185,7 +185,7 @@ func TestDeltaCacheMatchesMoveDeltaWeighted(t *testing.T) {
 			st := s.initial()
 			for step := 0; step < 10; step++ {
 				checkStateAgainstOracle(t, d.Name+"/weighted", s, st, step)
-				moves := s.appendLegalMoves(nil, st, true, true)
+				moves := s.appendAllMoves(nil, st, true, true)
 				if len(moves) == 0 {
 					break
 				}

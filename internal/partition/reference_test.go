@@ -67,7 +67,7 @@ func (s *searcher) referenceRun() (*snapshot, int) {
 	s.referenceDescend(base, record)
 
 	if !s.opts.GreedyOnly {
-		firsts := s.appendLegalMoves(nil, base, !s.opts.NoStatic, false)
+		firsts := s.appendLegalMoves(nil, base, !s.opts.NoStatic)
 		type scored struct {
 			mv move
 			d  int64
@@ -158,13 +158,45 @@ func (s *searcher) referenceApply(st *state, mv move) *state {
 	return out
 }
 
+// appendAllMoves appends every move available from st to out: per
+// source group, every compatible merge, then (when allowStatic) the
+// static promotion, then (when allowTransfers) every single-part
+// transfer to another group. This order is the one the move scan's
+// ordinals (moveOrd in scan.go) encode; appendLegalMoves is its
+// transfer-free form.
+func (s *searcher) appendAllMoves(out []move, st *state, allowStatic, allowTransfers bool) []move {
+	for i := 0; i < len(st.groups); i++ {
+		for j := i + 1; j < len(st.groups); j++ {
+			if s.groupsCompatible(st.groups[i], st.groups[j]) {
+				out = append(out, move{i: i, j: j, part: -1})
+			}
+		}
+		if allowStatic {
+			out = append(out, move{i: i, j: -1, part: -1})
+		}
+		// Moving the sole part of a group equals a merge, so only groups
+		// with two or more parts are sources.
+		if !allowTransfers || len(st.groups[i].parts) < 2 {
+			continue
+		}
+		for k, p := range st.groups[i].parts {
+			for j := 0; j < len(st.groups); j++ {
+				if j != i && s.partCompatible(p, st.groups[j]) {
+					out = append(out, move{i: i, j: j, part: k})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // referenceGreedy is the oracle counterpart of (*searcher).greedy: it
 // re-enumerates moves into a fresh slice and scores each candidate with
 // moveDelta every iteration.
 func (s *searcher) referenceGreedy(st *state, allowStatic, allowTransfers bool, record func(*state)) {
 	cur := st.clone()
 	for {
-		moves := s.appendLegalMoves(nil, cur, allowStatic, allowTransfers)
+		moves := s.appendAllMoves(nil, cur, allowStatic, allowTransfers)
 		if len(moves) == 0 {
 			return
 		}

@@ -156,6 +156,7 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	s.scan.maxShards = refineShards
 	s.scan.workers = EffectiveRefineWorkers(opts.Workers)
 	defer s.scan.close()
+	defer s.flushCounts()
 
 	// Group-internal compatibility: since a group's mask is the union of
 	// its parts' masks, the group is internally compatible iff its mask
@@ -198,13 +199,13 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 		}
 		if best != nil {
 			if vs.cost > best.cost {
-				s.cSnapSkip.Inc()
+				s.sc.n.snapSkip++
 				return
 			}
 			if vs.cost == best.cost {
 				at, bt := vs.area.Total(), best.area.Total()
 				if at > bt || (at == bt && len(vs.groups) >= len(best.st.groups)) {
-					s.cSnapSkip.Inc()
+					s.sc.n.snapSkip++
 					return
 				}
 			}

@@ -37,11 +37,12 @@ import (
 //     Cached entries are exact pure functions of their operands, so
 //     splitting the cache can change hit/miss timing, never a value.
 //   - Deterministic fixed-order reduction. Every candidate carries an
-//     ordinal encoding its position in the enumeration order of
-//     appendLegalMoves; in-shard incumbent updates and the cross-shard
-//     reduction break exact score ties by that ordinal, so the selected
-//     move is the first best in enumeration order no matter how many
-//     shards there are or which worker saw the move.
+//     ordinal encoding its position in the enumeration order of the
+//     test enumerator appendAllMoves (reference_test.go); in-shard
+//     incumbent updates and the cross-shard reduction break exact
+//     score ties by that ordinal, so the selected move is the first
+//     best in enumeration order no matter how many shards there are or
+//     which worker saw the move.
 
 const (
 	// refineShards is the shard count of a sharded refine scan. It is
@@ -98,8 +99,9 @@ func parWorthwhile(cur *state, allowTransfers bool) bool {
 	return parts >= refineParMinParts
 }
 
-// Ordinal move classes, matching appendLegalMoves' per-source order:
-// merges first, then the static promotion, then transfers.
+// Ordinal move classes, matching the per-source order of the test
+// enumerator appendAllMoves (reference_test.go): merges first, then the
+// static promotion, then transfers.
 const (
 	ordMerge uint64 = iota
 	ordStatic
@@ -109,7 +111,7 @@ const (
 // moveOrd packs a candidate's position in the enumeration order into
 // one comparable word: source index i (high), class, part slot k,
 // destination j (low). Lower ordinal ⇔ enumerated earlier by
-// appendLegalMoves. The field widths cover any reachable state — j and
+// appendAllMoves. The field widths cover any reachable state — j and
 // i are group indices (a refine level has thousands of groups at
 // most), and k is a part slot within one group, which transfers only
 // enumerate while the whole level has ≤ refineTransferCap parts.
@@ -286,7 +288,7 @@ func (p *moveScan) transfers(sc *scratch, src *transferSource, visit func(j int,
 			// The scratch's hash cache necessarily holds this entry (the
 			// slot was filled from it), so the dense read stands in for
 			// a hash hit.
-			s.cDeltaHit.Inc()
+			sc.n.deltaHit++
 			dst = row.vals[slot]
 		default:
 			if !s.partCompatible(src.pi, gj) {
@@ -541,8 +543,7 @@ func (p *moveScan) runShard(si int) {
 	}
 	for i := 0; i < len(groups); i++ {
 		// Moving the sole part of a group equals a merge, so only
-		// groups with two or more parts are sources (appendLegalMoves'
-		// rule).
+		// groups with two or more parts are sources.
 		gi := groups[i]
 		if len(gi.parts) < 2 {
 			continue

@@ -428,6 +428,27 @@ type searcher struct {
 	gDepth                      *obs.Gauge
 }
 
+// flushCounts adds the scratch tallies of this searcher's scans — its
+// own scratch and, after a sharded refine, every shard's — to the
+// shared counters. It runs once per searcher: once per candidate set on
+// the solve path, once per RefineContext.
+func (s *searcher) flushCounts() {
+	n := s.sc.n
+	for _, sc := range s.scan.scratches {
+		if sc != nil {
+			n.deltaHit += sc.n.deltaHit
+			n.deltaMiss += sc.n.deltaMiss
+			n.quantHit += sc.n.quantHit
+			n.quantMiss += sc.n.quantMiss
+		}
+	}
+	s.cDeltaHit.Add(n.deltaHit)
+	s.cDeltaMiss.Add(n.deltaMiss)
+	s.cQuantHit.Add(n.quantHit)
+	s.cQuantMiss.Add(n.quantMiss)
+	s.cSnapSkip.Add(n.snapSkip)
+}
+
 // weightScale converts float transition weights into integer cost units.
 const weightScale = 1 << 20
 

@@ -274,11 +274,10 @@ func (s *searcher) apply(st *state, mv move) *state {
 	return out
 }
 
-// appendLegalMoves appends the moves available from st to out (reusing
-// its capacity): every compatible group merge, every single-part
-// transfer between groups (when allowTransfers), and (when allowStatic)
-// every static promotion.
-func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTransfers bool) []move {
+// appendLegalMoves appends the first moves available from st to out
+// (reusing its capacity): every compatible group merge and (when
+// allowStatic) every static promotion, per source group in that order.
+func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic bool) []move {
 	for i := 0; i < len(st.groups); i++ {
 		for j := i + 1; j < len(st.groups); j++ {
 			if s.groupsCompatible(st.groups[i], st.groups[j]) {
@@ -287,21 +286,6 @@ func (s *searcher) appendLegalMoves(out []move, st *state, allowStatic, allowTra
 		}
 		if allowStatic {
 			out = append(out, move{i: i, j: -1, part: -1})
-		}
-		// Transfers: moving the sole part of a group equals a merge, so
-		// only groups with two or more parts are sources.
-		if !allowTransfers || len(st.groups[i].parts) < 2 {
-			continue
-		}
-		for k, p := range st.groups[i].parts {
-			for j := 0; j < len(st.groups); j++ {
-				if j == i {
-					continue
-				}
-				if s.partCompatible(p, st.groups[j]) {
-					out = append(out, move{i: i, j: j, part: k})
-				}
-			}
 		}
 	}
 	return out
@@ -438,13 +422,13 @@ func (s *searcher) run() (*snapshot, int) {
 		}
 		if best != nil {
 			if st.cost > best.cost {
-				s.cSnapSkip.Inc()
+				s.sc.n.snapSkip++
 				return
 			}
 			if st.cost == best.cost {
 				at, bt := st.area.Total(), best.area.Total()
 				if at > bt || (at == bt && len(st.groups) >= len(best.st.groups)) {
-					s.cSnapSkip.Inc()
+					s.sc.n.snapSkip++
 					return
 				}
 			}
@@ -472,7 +456,7 @@ func (s *searcher) run() (*snapshot, int) {
 		// (lowest cost increase per violation removed) first. The moves
 		// are copied into the scored buffer before the descents below
 		// recycle the shared move buffer.
-		firsts := s.appendLegalMoves(s.sc.moves[:0], base, !s.opts.NoStatic, false)
+		firsts := s.appendLegalMoves(s.sc.moves[:0], base, !s.opts.NoStatic)
 		s.sc.moves = firsts
 		scored := s.sc.scored[:0]
 		for _, mv := range firsts {
@@ -489,6 +473,7 @@ func (s *searcher) run() (*snapshot, int) {
 			s.descend(st, record)
 		}
 	}
+	s.flushCounts()
 	return best, states
 }
 

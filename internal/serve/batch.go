@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"prpart/internal/jobs"
 )
@@ -54,25 +52,8 @@ type BatchResponse struct {
 // itself only fails for transport-level problems (bad envelope, too
 // many members, bulk tier already saturated on arrival).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
-		return
-	}
-	s.cBatches.Inc()
-	if s.isDraining() {
-		s.retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: shutting down"))
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("serve: reading batch body: %w", err))
+	body, urlCheck, ok := s.intake(w, r, s.cBatches)
+	if !ok {
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -104,71 +85,43 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errBulkQueueFull)
 		return
 	}
-	urlCheck := r.URL.Query().Get("check") == "1"
 
-	type member struct {
-		sp      *SolveSpec
-		timeout time.Duration
-	}
 	items := make([]BatchItem, len(batch.Requests))
-	// leaders maps each distinct key to the first member index carrying
-	// it; later members with the same key are dups and copy its outcome.
+	// run holds the decoded request of each member that executes: the
+	// first member carrying each distinct key. Later members with the
+	// same key are dups and copy its outcome.
+	run := make([]*solveReq, len(batch.Requests))
 	leaders := map[string]int{}
-	var run []int // indices that actually execute
-	members := make([]member, len(batch.Requests))
 	for i, raw := range batch.Requests {
-		sp, meta, err := DecodeRequest(raw)
+		// A member is decoded and keyed exactly like a single solve, so
+		// a batch member and a lone POST /v1/solve for the same input
+		// share cache entries byte-for-byte.
+		req, err := s.parseSolve(raw, urlCheck)
 		if err != nil {
 			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		// The member's key is computed by the same canonicalization as a
-		// single solve: request options (check via the server/URL flag,
-		// multilevel and friends via the spec) hash in identically, so a
-		// batch member and a lone POST /v1/solve for the same input share
-		// cache entries byte-for-byte.
-		key, err := sp.Key()
-		if err != nil {
-			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
-			continue
-		}
-		items[i] = BatchItem{Key: key}
-		if first, dup := leaders[key]; dup {
+		items[i] = BatchItem{Key: req.key}
+		if first, dup := leaders[req.key]; dup {
 			s.cBatchDups.Inc()
 			items[i].Cache = "dup"
 			items[i].Status = -first - 1 // patched to the leader's outcome below
 			continue
 		}
-		leaders[key] = i
-		timeout := meta.Timeout
-		if timeout == 0 {
-			timeout = s.cfg.DefaultTimeout
-		}
-		members[i] = member{sp: sp, timeout: timeout}
-		run = append(run, i)
+		leaders[req.key] = i
+		run[i] = req
 	}
 
 	var wg sync.WaitGroup
-	for _, i := range run {
+	for i, req := range run {
+		if req == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, req *solveReq) {
 			defer wg.Done()
-			m := members[i]
-			wctx := r.Context()
-			if m.timeout > 0 {
-				ctx, cancel := context.WithTimeout(wctx, m.timeout)
-				defer cancel()
-				wctx = ctx
-			}
-			body, cache, status, err := s.executeMember(wctx, items[i].Key, m.sp, urlCheck)
-			items[i].Status = status
-			items[i].Cache = cache
-			if err != nil {
-				items[i].Error = err.Error()
-			} else {
-				items[i].Result = body
-			}
-		}(i)
+			items[i] = s.executeMember(r.Context(), req)
+		}(i, req)
 	}
 	wg.Wait()
 
@@ -188,56 +141,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(BatchResponse{Results: items})
 }
 
-// executeMember serves one distinct batch member through the same tiers
-// as a synchronous solve — cache, store, flight coalescing — with the
-// solve itself queued on the bulk tier. Unlike handleSolve it uses
-// EnqueueWait: the member blocks (bounded by its own deadline) while
-// the bulk tier is full instead of being refused, which paces a large
-// batch through a small queue. It runs in a handler goroutine, never on
-// a scheduler worker, so waiting on the flight cannot deadlock the pool.
-func (s *Server) executeMember(wctx context.Context, key string, sp *SolveSpec, urlCheck bool) (body []byte, cache string, status int, err error) {
-	docheck := s.cfg.Check || urlCheck
-	if !urlCheck {
-		if body, tier, ok := s.lookup(wctx, key); ok {
-			return body, tier, http.StatusOK, nil
-		}
+// executeMember serves one distinct batch member through the same
+// pipeline as a synchronous solve — read tiers, then the lead and await
+// steps — with the solve queued on the bulk tier. Unlike handleSolve it
+// admits with EnqueueWait: a leading member blocks, bounded by its own
+// deadline, while the bulk tier is full instead of being refused, which
+// paces a large batch through a small queue. It runs in a handler
+// goroutine, never on a scheduler worker, so awaiting the flight cannot
+// deadlock the pool.
+func (s *Server) executeMember(ctx context.Context, req *solveReq) BatchItem {
+	item := BatchItem{Key: req.key}
+	wctx, cancel := req.waitCtx(ctx)
+	defer cancel()
+	if body, tier, ok := s.readTiers(wctx, req); ok {
+		item.Status, item.Cache, item.Result = http.StatusOK, tier, body
+		return item
 	}
-	fkey := flightKey(key, docheck)
-	call, leader := s.flight.join(s.baseCtx, fkey)
-	if leader {
-		if _, eerr := s.sched.EnqueueWait(wctx, jobs.Bulk, func(ctx context.Context) {
-			s.runLeader(ctx, fkey, key, call, sp, docheck)
-		}); eerr != nil {
-			st, ferr := tierFullError(jobs.Bulk)
-			if !errors.Is(eerr, jobs.ErrTierFull) {
-				st, ferr = http.StatusServiceUnavailable, eerr
-			}
+	call, leader, rf := s.lead(req, func(ctx context.Context, fn func(context.Context)) *refusal {
+		if _, err := s.sched.EnqueueWait(wctx, ctx, jobs.Bulk, fn); err != nil {
 			s.cRejected.Inc()
-			s.flight.finish(fkey, call, nil, st, ferr)
-			return nil, "", st, ferr
+			return &refusal{status: http.StatusServiceUnavailable, err: err}
 		}
+		return nil
+	})
+	var err error
+	if rf != nil {
+		item.Status, err = rf.status, rf.err
 	} else {
-		s.cCoalesced.Inc()
+		item.Result, item.Cache, item.Status, err = s.await(wctx, call, leader)
 	}
-	select {
-	case <-call.done:
-	case <-wctx.Done():
-		select {
-		case <-call.done:
-		default:
-			s.flight.leave(call)
-			if errors.Is(wctx.Err(), context.DeadlineExceeded) {
-				return nil, "", http.StatusGatewayTimeout, errors.New("serve: batch member deadline exceeded")
-			}
-			return nil, "", http.StatusServiceUnavailable, wctx.Err()
-		}
+	if err != nil {
+		item.Error = err.Error()
 	}
-	if call.err != nil {
-		return nil, "", call.status, call.err
-	}
-	cache = "miss"
-	if !leader {
-		cache = "coalesced"
-	}
-	return call.body, cache, http.StatusOK, nil
+	return item
 }

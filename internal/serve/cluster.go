@@ -42,19 +42,12 @@ import (
 // ("hit", "store" or "peer"); ok is false when every tier missed and
 // the caller must solve.
 func (s *Server) lookup(ctx context.Context, key string) ([]byte, string, bool) {
-	if cached, ok := s.cache.Get(key); ok {
-		return cached, "hit", true
-	}
-	// Second tier: the persistent store. Bytes coming back from disk
-	// are hash-verified by the store itself (a corrupt blob reads as a
-	// miss and quarantines), so anything returned here is exactly what
-	// a fresh solve would have produced.
-	if s.store != nil {
-		if b, ok := s.store.Get(key); ok {
+	if b, tier, ok := s.readLocal(key); ok {
+		if tier == "store" {
 			s.cache.Put(key, b)
 			s.cStoreServes.Inc()
-			return b, "store", true
 		}
+		return b, tier, true
 	}
 	// Third tier: ask the key's ring owners. Fetch verifies framing and
 	// body digest; a body it returns is bit-exact what the peer stored.
@@ -64,6 +57,23 @@ func (s *Server) lookup(ctx context.Context, key string) ([]byte, string, bool) 
 			s.cPeerServes.Inc()
 			s.sched.NotePeerFill()
 			return b, "peer", true
+		}
+	}
+	return nil, "", false
+}
+
+// readLocal reads key from this node's own tiers: the memory cache
+// ("hit"), then the persistent store ("store"). Bytes coming back from
+// disk are hash-verified by the store itself (a corrupt blob reads as a
+// miss and quarantines), so anything returned is exactly what a fresh
+// solve would have produced.
+func (s *Server) readLocal(key string) ([]byte, string, bool) {
+	if b, ok := s.cache.Get(key); ok {
+		return b, "hit", true
+	}
+	if s.store != nil {
+		if b, ok := s.store.Get(key); ok {
+			return b, "store", true
 		}
 	}
 	return nil, "", false
@@ -146,13 +156,7 @@ func (s *Server) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pb := cluster.Body{Key: key}
-	if body, ok := s.cache.Get(key); ok {
-		pb.Found, pb.Data = true, body
-	} else if s.store != nil {
-		if body, ok := s.store.Get(key); ok {
-			pb.Found, pb.Data = true, body
-		}
-	}
+	pb.Data, _, pb.Found = s.readLocal(key)
 	if pb.Found {
 		if v, ok := s.storeVerdict(key); ok {
 			pb.Verdict = v

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"prpart/internal/jobs"
 	"prpart/internal/obs"
@@ -42,41 +40,17 @@ type jobSubmitResponse struct {
 // handleJobSubmit is POST /v1/jobs: the body is a single solve request
 // (same schema as /v1/solve), the response a job id to poll.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.cRequests.Inc()
-	if s.isDraining() {
-		s.retryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: shutting down"))
+	raw, urlCheck, ok := s.intake(w, r, s.cRequests)
+	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("serve: reading body: %w", err))
-		return
-	}
-	sp, meta, err := DecodeRequest(body)
+	req, err := s.parseSolve(raw, urlCheck)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := sp.Key()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	urlCheck := r.URL.Query().Get("check") == "1"
-	docheck := s.cfg.Check || urlCheck
-	timeout := meta.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-
-	job, err := s.jobMgr.Submit(s.baseCtx, key, jobs.Bulk, func(ctx context.Context) ([]byte, int, error) {
-		return s.runJobSolve(ctx, key, sp, timeout, urlCheck, docheck)
+	job, err := s.jobMgr.Submit(s.baseCtx, req.key, jobs.Bulk, func(ctx context.Context) ([]byte, int, error) {
+		return s.runJobSolve(ctx, req)
 	})
 	if err != nil {
 		if errors.Is(err, jobs.ErrTierFull) {
@@ -90,51 +64,50 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cJobsSubmitted.Inc()
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	w.Header().Set("X-Solve-Key", key)
+	w.Header().Set("X-Solve-Key", req.key)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(jobSubmitResponse{ID: job.ID(), Key: key, State: string(job.State())})
+	json.NewEncoder(w).Encode(jobSubmitResponse{ID: job.ID(), Key: req.key, State: string(job.State())})
 }
 
 // runJobSolve is the RunFunc of an async job. It executes on a
-// scheduler worker, which forces one asymmetry with the synchronous
-// path: a worker must never block waiting on a flight led by a fn that
-// is itself still queued — with every worker waiting, nothing would
-// ever run the leader (deadlock). So a job that loses the flight race
-// leaves immediately and solves independently; the duplicate solve is
+// scheduler worker, and a worker must never block on a flight whose
+// leader may itself still be queued: with every worker waiting, nothing
+// would ever run the leader (deadlock). So a job that loses the flight
+// race leaves at once and solves independently; the duplicate solve is
 // idempotent (same key, same bytes) and the window is a rare same-key
-// overlap between an async job and an in-flight synchronous solve.
-func (s *Server) runJobSolve(ctx context.Context, key string, sp *SolveSpec, timeout time.Duration, urlCheck, docheck bool) ([]byte, int, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+// overlap between a job and an in-flight synchronous solve.
+//
+// A job that leads is already admitted — it holds this worker — so it
+// runs the flight's solve inline, under the call's context like any
+// other leader. The job is one waiter on that flight: its deadline, a
+// DELETE or a server close withdraws the job alone, while a shed of
+// this worker cancels the solve for every waiter.
+func (s *Server) runJobSolve(ctx context.Context, req *solveReq) ([]byte, int, error) {
+	ctx, cancel := req.waitCtx(ctx)
+	defer cancel()
+	if body, _, ok := s.readTiers(ctx, req); ok {
+		return body, http.StatusOK, nil
 	}
-	if !urlCheck {
-		if body, _, ok := s.lookup(ctx, key); ok {
-			return body, http.StatusOK, nil
+	call, leader := s.flight.join(s.baseCtx, req.flightKey())
+	if !leader {
+		s.flight.leave(call)
+		return s.solveAndStore(ctx, req)
+	}
+	sctx, shed := context.WithCancelCause(call.ctx)
+	defer shed(nil)
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(context.Cause(ctx), jobs.ErrShed) {
+			shed(jobs.ErrShed)
+		} else {
+			s.flight.leave(call)
 		}
+	})
+	s.runLeader(sctx, req, call)
+	if !stop() && !errors.Is(context.Cause(ctx), jobs.ErrShed) {
+		return nil, errStatus(ctx.Err()), ctx.Err() // the job was withdrawn
 	}
-	fkey := flightKey(key, docheck)
-	call, leader := s.flight.join(s.baseCtx, fkey)
-	if leader {
-		// Leading is safe: the solve runs inline on this worker, and
-		// synchronous followers coalesce onto the job's result.
-		s.runLeader(ctx, fkey, key, call, sp, docheck)
-		<-call.done
-		return call.body, call.status, call.err
-	}
-	s.flight.leave(call)
-	body, status, err := s.solveGuarded(ctx, key, sp, docheck)
-	if err != nil && errors.Is(context.Cause(ctx), jobs.ErrShed) {
-		status, err = http.StatusServiceUnavailable, errShedForLatency
-		s.cBulkShed.Inc()
-	}
-	if err == nil {
-		s.cache.Put(key, body)
-		s.persist(key, body, docheck)
-	}
-	return body, status, err
+	return call.body, call.status, call.err
 }
 
 // jobListResponse is the wire schema of GET /v1/jobs.

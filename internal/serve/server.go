@@ -326,33 +326,60 @@ func tierOf(bulk bool) jobs.Tier {
 	return jobs.Interactive
 }
 
-// tierFullError maps a refused tier to its backpressure response:
-// interactive overflow is the client's cue to back off (429), bulk
-// overflow says the service is saturated with throughput work (503).
-func tierFullError(tier jobs.Tier) (int, error) {
-	if tier == jobs.Bulk {
-		return http.StatusServiceUnavailable, errBulkQueueFull
-	}
-	return http.StatusTooManyRequests, errQueueFull
+// solveReq is one decoded solve: the unit every surface — a /v1/solve
+// body, a batch member, an async job — hands the pipeline.
+type solveReq struct {
+	sp  *SolveSpec
+	key string // content-addressed cache key
+	// timeout bounds this waiter (0 = no deadline); it never bounds a
+	// flight another waiter still needs.
+	timeout time.Duration
+	bulk    bool
+	// check verifies the result with the independent oracle (server-wide
+	// Check, or the debug query ?check=1). fresh is ?check=1 itself: it
+	// bypasses the read tiers so the verification actually runs; the
+	// verified body is still cached for everyone else (the bytes are
+	// identical either way).
+	check, fresh bool
 }
 
-// handleSolve is POST /v1/solve: decode, consult the cache, coalesce,
-// queue, solve, respond. The response body of a 200 is byte-identical
-// to `prpart -json` on the same input; X-Solve-Key carries the
-// content-addressed key and X-Cache reports hit, miss or coalesced.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// flightKey is the coalescing key. Checked and unchecked requests must
+// not coalesce onto each other: a follower asking for verification
+// would otherwise ride on a leader that skipped it. The flight key is
+// namespaced; the cache key is not.
+func (req *solveReq) flightKey() string {
+	if req.check {
+		return req.key + "+check"
+	}
+	return req.key
+}
+
+// waitCtx derives the waiter's context from parent, bounded by the
+// request's deadline.
+func (req *solveReq) waitCtx(parent context.Context) (context.Context, context.CancelFunc) {
+	if req.timeout > 0 {
+		return context.WithTimeout(parent, req.timeout)
+	}
+	return context.WithCancel(parent)
+}
+
+// intake is the transport half of the intake the three POST surfaces
+// share: method and drain checks, then the body read under
+// MaxBodyBytes. count is the surface's request counter. ok is false
+// when the response has already been written.
+func (s *Server) intake(w http.ResponseWriter, r *http.Request, count *obs.Counter) (raw []byte, urlCheck, ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
-		return
+		return nil, false, false
 	}
-	s.cRequests.Inc()
+	count.Inc()
 	if s.isDraining() {
 		s.retryAfter(w, time.Second)
 		writeError(w, http.StatusServiceUnavailable, errors.New("serve: shutting down"))
-		return
+		return nil, false, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest // client abort / network read failure
 		var mbe *http.MaxBytesError
@@ -360,163 +387,106 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, fmt.Errorf("serve: reading body: %w", err))
-		return
+		return nil, false, false
 	}
-	sp, meta, err := DecodeRequest(body)
+	return raw, r.URL.Query().Get("check") == "1", true
+}
+
+// parseSolve is the decode half of the intake: one solve request body
+// to its spec, key and deadline. Every error is a 400.
+func (s *Server) parseSolve(raw []byte, urlCheck bool) (*solveReq, error) {
+	sp, meta, err := DecodeRequest(raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	key, err := sp.Key()
 	if err != nil {
+		return nil, err
+	}
+	req := &solveReq{sp: sp, key: key, timeout: meta.Timeout, bulk: meta.Bulk,
+		check: s.cfg.Check || urlCheck, fresh: urlCheck}
+	if req.timeout == 0 {
+		req.timeout = s.cfg.DefaultTimeout
+	}
+	return req, nil
+}
+
+// readTiers serves req from the read tiers unless it asks for a fresh,
+// verified solve.
+func (s *Server) readTiers(ctx context.Context, req *solveReq) ([]byte, string, bool) {
+	if req.fresh {
+		return nil, "", false
+	}
+	return s.lookup(ctx, req.key)
+}
+
+// handleSolve is POST /v1/solve: decode, consult the read tiers, then
+// lead or join the key's flight and await it. The response body of a
+// 200 is byte-identical to `prpart -json` on the same input;
+// X-Solve-Key carries the content-addressed key and X-Cache reports
+// the tier that served it.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	raw, urlCheck, ok := s.intake(w, r, s.cRequests)
+	if !ok {
+		return
+	}
+	req, err := s.parseSolve(raw, urlCheck)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("X-Solve-Key", key)
-	// The debug query ?check=1 verifies this request's result with the
-	// independent oracle even when the server-wide Check is off. It
-	// bypasses the cache read so the verification actually runs; the
-	// verified body is still cached for everyone else (the bytes are
-	// identical either way).
-	urlCheck := r.URL.Query().Get("check") == "1"
-	docheck := s.cfg.Check || urlCheck
-	if !urlCheck {
-		if body, tier, ok := s.lookup(r.Context(), key); ok {
-			s.respond(w, tier, body)
-			return
-		}
+	w.Header().Set("X-Solve-Key", req.key)
+	wctx, cancel := req.waitCtx(r.Context())
+	defer cancel()
+	if body, tier, ok := s.readTiers(wctx, req); ok {
+		s.respond(w, tier, body)
+		return
 	}
 
-	timeout := meta.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	wctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		wctx, cancel = context.WithTimeout(wctx, timeout)
-		defer cancel()
-	}
-
-	tier := tierOf(meta.Bulk)
-	// Checked and unchecked requests must not coalesce onto each other:
-	// a follower asking for verification would otherwise ride on a
-	// leader that skipped it. The flight key is namespaced; the cache
-	// key is not (the result bytes are the same).
-	fkey := flightKey(key, docheck)
-	call, leader := s.flight.join(s.baseCtx, fkey)
-	if leader {
+	tier := tierOf(req.bulk)
+	call, leader, rf := s.lead(req, func(ctx context.Context, fn func(context.Context)) *refusal {
 		// Deadline-aware admission: refuse work that cannot possibly
 		// meet its deadline instead of letting it queue, burn a slot and
 		// time out anyway. Retry-After carries the wait estimate.
 		if dl, ok := wctx.Deadline(); ok {
 			if est := s.sched.EstimateWait(tier); est > 0 && est > time.Until(dl) {
 				s.cRejectedDeadline.Inc()
-				s.flight.finish(fkey, call, nil, http.StatusTooManyRequests, errDeadlineTooTight)
-				s.retryAfter(w, est)
-				writeError(w, http.StatusTooManyRequests, errDeadlineTooTight)
-				return
+				return &refusal{http.StatusTooManyRequests, errDeadlineTooTight, est}
 			}
 		}
-		// The solve runs under the flight call's context — detached from
-		// this request, alive while any waiter remains — so the scheduler
-		// ticket outlives a leader that times out while followers wait.
 		// An interactive enqueue that finds every worker stuck in bulk
 		// sheds the oldest bulk solve inside the scheduler.
-		_, err := s.sched.Enqueue(call.ctx, tier, func(ctx context.Context) {
-			s.runLeader(ctx, fkey, key, call, sp, docheck)
-		})
-		if err != nil {
-			// Coalesced waiters share the leader's admission fate: the
-			// refusal below is published to every follower already joined
-			// on this key (see DESIGN.md §8, backpressure semantics).
+		if _, err := s.sched.Enqueue(ctx, tier, fn); err != nil {
+			// Interactive overflow is the client's cue to back off (429),
+			// bulk overflow says the service is saturated with throughput
+			// work (503).
 			s.cRejected.Inc()
-			status, ferr := tierFullError(tier)
-			s.flight.finish(fkey, call, nil, status, ferr)
-			s.retryAfter(w, s.sched.EstimateWait(tier))
-			writeError(w, status, ferr)
-			return
-		}
-	} else {
-		s.cCoalesced.Inc()
-	}
-
-	s.deliver(w, wctx, fkey, call, leader, docheck)
-}
-
-// flightKey namespaces the coalescing key by the check flag.
-func flightKey(key string, docheck bool) string {
-	if docheck {
-		return key + "+check"
-	}
-	return key
-}
-
-// runLeader is the scheduler-side body of a synchronous solve: run the
-// search, classify shed, populate the cache tiers and publish to every
-// coalesced waiter.
-func (s *Server) runLeader(ctx context.Context, fkey, key string, call *flightCall, sp *SolveSpec, docheck bool) {
-	body, status, err := s.solveGuarded(ctx, key, sp, docheck)
-	if err != nil && errors.Is(context.Cause(ctx), jobs.ErrShed) {
-		status, err = http.StatusServiceUnavailable, errShedForLatency
-		s.cBulkShed.Inc()
-	}
-	if err == nil {
-		s.cache.Put(key, body)
-		s.persist(key, body, docheck)
-		// Replicate before the flight publishes: by the time any client
-		// holds the response, the key's owners hold the bytes too, which
-		// keeps seeded request sequences producing identical cluster
-		// counters run over run.
-		s.replicate(key, body, docheck)
-	}
-	s.flight.finish(fkey, call, body, status, err)
-}
-
-// deliver waits for the flight call to finish (or the request context
-// to die) and writes the outcome.
-func (s *Server) deliver(w http.ResponseWriter, wctx context.Context, fkey string, call *flightCall, leader, docheck bool) {
-	write := func() {
-		if call.err != nil {
-			if call.status == http.StatusTooManyRequests || errors.Is(call.err, errShedForLatency) {
-				s.retryAfter(w, time.Second)
+			rf := &refusal{http.StatusTooManyRequests, errQueueFull, s.sched.EstimateWait(tier)}
+			if tier == jobs.Bulk {
+				rf.status, rf.err = http.StatusServiceUnavailable, errBulkQueueFull
 			}
-			s.cErrors.Inc()
-			writeError(w, call.status, call.err)
-			return
+			return rf
 		}
-		cache := "miss"
-		if !leader {
-			cache = "coalesced"
-		}
-		if docheck {
-			w.Header().Set("X-Check", "pass")
-		}
-		s.respond(w, cache, call.body)
+		return nil
+	})
+	if rf != nil {
+		s.retryAfter(w, rf.wait)
+		writeError(w, rf.status, rf.err)
+		return
 	}
-
-	select {
-	case <-call.done:
-		write()
-	case <-wctx.Done():
-		// select picks randomly when both channels are ready, so a solve
-		// that completed right at the deadline could land here. Prefer
-		// the (now cached) result over a 504.
-		select {
-		case <-call.done:
-			write()
-			return
-		default:
+	body, cache, status, err := s.await(wctx, call, leader)
+	if err != nil {
+		if status == http.StatusTooManyRequests || errors.Is(err, errShedForLatency) {
+			s.retryAfter(w, time.Second)
 		}
-		s.flight.leave(call)
 		s.cErrors.Inc()
-		if errors.Is(wctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: solve deadline exceeded"))
-			return
-		}
-		// Client went away; the status is never seen but keeps logs honest.
-		writeError(w, http.StatusServiceUnavailable, wctx.Err())
+		writeError(w, status, err)
+		return
 	}
+	if req.check {
+		w.Header().Set("X-Check", "pass")
+	}
+	s.respond(w, cache, body)
 }
 
 func (s *Server) respond(w http.ResponseWriter, cache string, body []byte) {
@@ -529,15 +499,15 @@ func (s *Server) respond(w http.ResponseWriter, cache string, body []byte) {
 // solveGuarded is solve behind a panic barrier: a panicking solver (or
 // renderer) downs one request with a 500, never the daemon — and never
 // a scheduler worker.
-func (s *Server) solveGuarded(ctx context.Context, key string, sp *SolveSpec, docheck bool) (body []byte, status int, err error) {
+func (s *Server) solveGuarded(ctx context.Context, req *solveReq) (body []byte, status int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.cPanics.Inc()
-			s.obs.Emit("serve", "solve.panic", obs.Str("key", key), obs.Str("panic", fmt.Sprint(r)))
+			s.obs.Emit("serve", "solve.panic", obs.Str("key", req.key), obs.Str("panic", fmt.Sprint(r)))
 			body, status, err = nil, http.StatusInternalServerError, fmt.Errorf("serve: solver panicked: %v", r)
 		}
 	}()
-	return s.solve(ctx, key, sp, docheck)
+	return s.solve(ctx, req.key, req.sp, req.check)
 }
 
 // persist writes a solved body through to the store tier. Failures

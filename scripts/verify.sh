@@ -35,9 +35,13 @@
 #         parallel-refinement identity contract (DESIGN.md §14) under
 #         the race detector: Workers must change wall-clock time and
 #         nothing else, so the serial-vs-parallel suites re-run with
-#         -race over the partition and multilevel packages, and the
-#         committed benchmark baseline is gated against the previous
-#         one (a perf PR must not regress the huge tier).
+#         -race over the partition and multilevel packages. Then the
+#         committed benchmark baselines are gated along the chain
+#         pr3 -> pr4 (-tol 10: the incremental engine must keep every
+#         headline metric byte-identical), pr4 -> pr7 and pr7 -> pr9
+#         (-tol 25: reports from different sessions carry cross-host
+#         drift), the same gates CI's bench-report job runs (a perf PR
+#         must not regress the huge tier).
 # Tier 7  go test -run Remote — the batch/async daemon-client e2e
 #         (DESIGN.md §13): the 100-design sweep driven through
 #         /v1/solve/batch and the async job API against a booted
@@ -98,7 +102,9 @@ if [ "$1" = "all" ]; then
 	echo "== tier 6: parallel-refinement identity under the race detector =="
 	go test -race -run 'ParallelIdentity|RefineWorkers' ./internal/multilevel/ ./internal/partition/
 
-	echo "== tier 6: benchmark baseline gate (pr7 -> pr9) =="
+	echo "== tier 6: benchmark baseline gates (pr3 -> pr4 -> pr7 -> pr9) =="
+	go run ./scripts -tol 10 results/BENCH_pr3.json results/BENCH_pr4.json
+	go run ./scripts -tol 25 results/BENCH_pr4.json results/BENCH_pr7.json
 	go run ./scripts -tol 25 results/BENCH_pr7.json results/BENCH_pr9.json
 
 	echo "== tier 7: batch/async daemon sweep e2e (kill/restart) =="
