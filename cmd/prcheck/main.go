@@ -25,14 +25,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"prpart/internal/check"
 	"prpart/internal/core"
 	"prpart/internal/design"
 	"prpart/internal/exact"
 	"prpart/internal/partition"
-	"prpart/internal/resource"
 	"prpart/internal/spec"
 	"prpart/internal/synthetic"
 )
@@ -69,7 +67,7 @@ func run(args []string, out io.Writer) error {
 // runOne solves a single design through the full flow and verifies the
 // complete result, back-end artifacts included.
 func runOne(out io.Writer, path, dev, budget string) error {
-	d, con, err := load(path)
+	d, con, err := spec.Load(path)
 	if err != nil {
 		return err
 	}
@@ -78,7 +76,7 @@ func runOne(out io.Writer, path, dev, budget string) error {
 		opts.Device = dev
 	}
 	if budget != "" {
-		if opts.Budget, err = parseBudget(budget); err != nil {
+		if opts.Budget, err = spec.ParseBudget(budget); err != nil {
 			return err
 		}
 	}
@@ -251,28 +249,4 @@ func dumpDesign(dir string, d *design.Design) error {
 		return err
 	}
 	return f.Close()
-}
-
-func load(path string) (*design.Design, spec.Constraints, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, spec.Constraints{}, err
-	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".xml":
-		return spec.ParseDesign(f)
-	case ".json":
-		d, err := design.DecodeJSON(f)
-		return d, spec.Constraints{}, err
-	}
-	return nil, spec.Constraints{}, fmt.Errorf("unsupported input extension on %q (want .xml or .json)", path)
-}
-
-func parseBudget(s string) (resource.Vector, error) {
-	var clb, bram, dsp int
-	if _, err := fmt.Sscanf(s, "%d,%d,%d", &clb, &bram, &dsp); err != nil {
-		return resource.Vector{}, fmt.Errorf("bad -budget %q (want clb,bram,dsp): %v", s, err)
-	}
-	return resource.New(clb, bram, dsp), nil
 }

@@ -17,11 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"prpart/internal/core"
-	"prpart/internal/design"
-	"prpart/internal/resource"
 	"prpart/internal/spec"
 	"prpart/internal/viz"
 )
@@ -47,7 +44,7 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("missing -in or -out")
 	}
-	d, con, err := load(*in)
+	d, con, err := spec.Load(*in)
 	if err != nil {
 		return err
 	}
@@ -59,30 +56,15 @@ func run(args []string) error {
 		opts.Device = *dev
 	}
 	if *budget != "" {
-		var clb, bram, dsp int
-		if _, err := fmt.Sscanf(*budget, "%d,%d,%d", &clb, &bram, &dsp); err != nil {
-			return fmt.Errorf("bad -budget %q: %v", *budget, err)
+		if opts.Budget, err = spec.ParseBudget(*budget); err != nil {
+			return err
 		}
-		opts.Budget = resource.New(clb, bram, dsp)
 	}
 	res, err := core.Run(d, opts)
 	if err != nil {
 		return err
 	}
 	return write(*outDir, res)
-}
-
-func load(path string) (*design.Design, spec.Constraints, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, spec.Constraints{}, err
-	}
-	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		d, err := design.DecodeJSON(f)
-		return d, spec.Constraints{}, err
-	}
-	return spec.ParseDesign(f)
 }
 
 func write(dir string, res *core.Result) error {

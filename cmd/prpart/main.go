@@ -16,15 +16,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"prpart/internal/check"
 	"prpart/internal/core"
-	"prpart/internal/design"
 	"prpart/internal/device"
 	"prpart/internal/obs"
-	"prpart/internal/resource"
 	"prpart/internal/serve"
 	"prpart/internal/spec"
 )
@@ -70,7 +67,7 @@ func run(args []string, out io.Writer) (err error) {
 			err = serr
 		}
 	}()
-	d, con, err := load(*in)
+	d, con, err := spec.Load(*in)
 	if err != nil {
 		return err
 	}
@@ -97,7 +94,7 @@ func run(args []string, out io.Writer) (err error) {
 		sspec.Device = *dev
 	}
 	if *budget != "" {
-		v, err := parseBudget(*budget)
+		v, err := spec.ParseBudget(*budget)
 		if err != nil {
 			return err
 		}
@@ -167,28 +164,4 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 	return nil
-}
-
-func load(path string) (*design.Design, spec.Constraints, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, spec.Constraints{}, err
-	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".xml":
-		return spec.ParseDesign(f)
-	case ".json":
-		d, err := design.DecodeJSON(f)
-		return d, spec.Constraints{}, err
-	}
-	return nil, spec.Constraints{}, fmt.Errorf("unsupported input extension on %q (want .xml or .json)", path)
-}
-
-func parseBudget(s string) (resource.Vector, error) {
-	var clb, bram, dsp int
-	if _, err := fmt.Sscanf(s, "%d,%d,%d", &clb, &bram, &dsp); err != nil {
-		return resource.Vector{}, fmt.Errorf("bad -budget %q (want clb,bram,dsp): %v", s, err)
-	}
-	return resource.New(clb, bram, dsp), nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"prpart/internal/design"
-	"prpart/internal/resource"
 	"prpart/internal/serve"
 	"prpart/internal/spec"
 )
@@ -118,16 +117,6 @@ func TestRunAblationFlags(t *testing.T) {
 	if !strings.Contains(out.String(), "0 static parts") &&
 		strings.Contains(out.String(), "static:") {
 		t.Errorf("no-static flag ignored:\n%s", out.String())
-	}
-}
-
-func TestParseBudget(t *testing.T) {
-	v, err := parseBudget("100,2,3")
-	if err != nil || v != resource.New(100, 2, 3) {
-		t.Errorf("parseBudget = %v, %v", v, err)
-	}
-	if _, err := parseBudget("1,2"); err == nil {
-		t.Error("short budget accepted")
 	}
 }
 

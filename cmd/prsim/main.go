@@ -21,14 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"prpart/internal/adaptive"
 	"prpart/internal/bitstream"
 	"prpart/internal/core"
-	"prpart/internal/design"
 	"prpart/internal/faults"
 	"prpart/internal/floorplan"
 	"prpart/internal/icap"
@@ -80,7 +77,7 @@ func run(args []string, out io.Writer) (err error) {
 			err = serr
 		}
 	}()
-	d, con, err := load(*in)
+	d, con, err := spec.Load(*in)
 	if err != nil {
 		return err
 	}
@@ -258,17 +255,4 @@ func replay(s *scheme.Scheme, res *core.Result, opt simOptions, seq []int) (repl
 		}
 	}
 	return result(), nil
-}
-
-func load(path string) (*design.Design, spec.Constraints, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, spec.Constraints{}, err
-	}
-	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".json") {
-		d, err := design.DecodeJSON(f)
-		return d, spec.Constraints{}, err
-	}
-	return spec.ParseDesign(f)
 }

@@ -170,7 +170,7 @@ func TestFrequencyWeightDefinition(t *testing.T) {
 			if bp.FreqWeight != want {
 				t.Errorf("%s: %s freq weight = %d, want %d", d.Name, bp.Label(d), bp.FreqWeight, want)
 			}
-			if sup := m.SetSupport(refs); bp.FreqWeight < sup {
+			if sup := support(d, refs); bp.FreqWeight < sup {
 				t.Errorf("%s: %s freq weight %d below support %d", d.Name, bp.Label(d), bp.FreqWeight, sup)
 			}
 			if bp.FreqWeight < 1 {
@@ -178,6 +178,21 @@ func TestFrequencyWeightDefinition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// support counts the configurations that activate every mode of set.
+func support(d *design.Design, set []design.ModeRef) int {
+	n := 0
+configs:
+	for _, c := range d.Configurations {
+		for _, r := range set {
+			if c.Modes[r.Module] != r.Mode {
+				continue configs
+			}
+		}
+		n++
+	}
+	return n
 }
 
 func TestResourcesAreMemberSums(t *testing.T) {

@@ -67,9 +67,6 @@ func (m *Matrix) Column(r design.ModeRef) int {
 	return -1
 }
 
-// At reports whether mode column j is active in configuration i.
-func (m *Matrix) At(i, j int) bool { return m.cells[i][j] }
-
 // Contains reports whether configuration i activates mode r.
 func (m *Matrix) Contains(i int, r design.ModeRef) bool {
 	c, ok := m.col[r]
@@ -105,30 +102,6 @@ func (m *Matrix) EdgeWeight(a, b design.ModeRef) int {
 		if m.cells[i][ca] && m.cells[i][cb] {
 			n++
 		}
-	}
-	return n
-}
-
-// SetSupport returns the number of configurations containing every mode in
-// the set. It generalises NodeWeight (|set|=1) and EdgeWeight (|set|=2).
-func (m *Matrix) SetSupport(set []design.ModeRef) int {
-	cols := make([]int, 0, len(set))
-	for _, r := range set {
-		c, ok := m.col[r]
-		if !ok {
-			return 0
-		}
-		cols = append(cols, c)
-	}
-	n := 0
-rows:
-	for i := range m.cells {
-		for _, c := range cols {
-			if !m.cells[i][c] {
-				continue rows
-			}
-		}
-		n++
 	}
 	return n
 }

@@ -51,8 +51,8 @@ func designFromBytes(data []byte) *design.Design {
 // FuzzMatrix builds the connectivity matrix for arbitrary bounded
 // designs and cross-checks every derived quantity against its
 // definition: node weights are column sums, edge weights are symmetric
-// and bounded by both node weights, SetSupport generalises both, and
-// Clear/AllZero behave like a plain bitmap.
+// and bounded by both node weights, the support of a one- or two-mode
+// set equals them, and Clear/AllZero behave like a plain bitmap.
 func FuzzMatrix(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 10, 1, 1, 20, 2, 0, 2, 5, 0, 0, 3, 1, 2, 2, 1})
@@ -81,7 +81,7 @@ func FuzzMatrix(f *testing.F) {
 			// NodeWeight is the column sum, and every used mode occurs.
 			n := 0
 			for i := 0; i < m.NumConfigs(); i++ {
-				if m.At(i, c) {
+				if m.cells[i][c] {
 					n++
 				}
 			}
@@ -91,8 +91,8 @@ func FuzzMatrix(f *testing.F) {
 			if m.NodeWeight(r) == 0 {
 				t.Fatalf("used mode %v has zero node weight", r)
 			}
-			if s := m.SetSupport([]design.ModeRef{r}); s != m.NodeWeight(r) {
-				t.Fatalf("SetSupport({%v}) = %d, NodeWeight = %d", r, s, m.NodeWeight(r))
+			if s := support(m, []design.ModeRef{r}); s != m.NodeWeight(r) {
+				t.Fatalf("support({%v}) = %d, NodeWeight = %d", r, s, m.NodeWeight(r))
 			}
 		}
 
@@ -105,8 +105,8 @@ func FuzzMatrix(f *testing.F) {
 				if ab > m.NodeWeight(a) || ab > m.NodeWeight(b) {
 					t.Fatalf("EdgeWeight(%v,%v) = %d exceeds a node weight", a, b, ab)
 				}
-				if s := m.SetSupport([]design.ModeRef{a, b}); s != ab {
-					t.Fatalf("SetSupport pair = %d, EdgeWeight = %d", s, ab)
+				if s := support(m, []design.ModeRef{a, b}); s != ab {
+					t.Fatalf("support pair = %d, EdgeWeight = %d", s, ab)
 				}
 				if mw := m.MinEdgeWeight([]design.ModeRef{a, b}); mw != ab {
 					t.Fatalf("MinEdgeWeight pair = %d, EdgeWeight = %d", mw, ab)
@@ -116,7 +116,7 @@ func FuzzMatrix(f *testing.F) {
 
 		// Unused modes are invisible.
 		ghost := design.ModeRef{Module: 99, Mode: 1}
-		if m.Column(ghost) != -1 || m.NodeWeight(ghost) != 0 || m.SetSupport([]design.ModeRef{ghost}) != 0 {
+		if m.Column(ghost) != -1 || m.NodeWeight(ghost) != 0 || support(m, []design.ModeRef{ghost}) != 0 {
 			t.Fatal("unknown mode reported as present")
 		}
 

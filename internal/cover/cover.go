@@ -12,6 +12,7 @@ package cover
 import (
 	"errors"
 	"sort"
+	"strings"
 
 	"prpart/internal/basepart"
 	"prpart/internal/connmat"
@@ -42,15 +43,17 @@ func Order(parts []basepart.BasePartition) []basepart.BasePartition {
 	for i, bp := range out {
 		frames[i] = device.Frames(bp.Resources)
 	}
-	sort.Stable(coverOrder{out, frames})
+	sort.Stable(coverOrder{out, frames, make([]string, len(out))})
 	return out
 }
 
 // coverOrder sorts parts by Order's keys. frames[i] is the frame count
-// of parts[i], computed once per part and swapped along with it.
+// of parts[i], computed once per part; keys[i] is its set key, built the
+// first time a tie reaches it. Both are swapped along with the part.
 type coverOrder struct {
 	parts  []basepart.BasePartition
 	frames []int
+	keys   []string
 }
 
 func (o coverOrder) Len() int { return len(o.parts) }
@@ -58,6 +61,7 @@ func (o coverOrder) Len() int { return len(o.parts) }
 func (o coverOrder) Swap(i, j int) {
 	o.parts[i], o.parts[j] = o.parts[j], o.parts[i]
 	o.frames[i], o.frames[j] = o.frames[j], o.frames[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
 }
 
 func (o coverOrder) Less(i, j int) bool {
@@ -71,7 +75,14 @@ func (o coverOrder) Less(i, j int) bool {
 	if o.frames[i] != o.frames[j] {
 		return o.frames[i] < o.frames[j]
 	}
-	return a.Set.Key() < b.Set.Key()
+	return o.key(i) < o.key(j)
+}
+
+func (o coverOrder) key(i int) string {
+	if o.keys[i] == "" {
+		o.keys[i] = o.parts[i].Set.Key()
+	}
+	return o.keys[i]
 }
 
 // Cover runs one covering pass: partitions are taken in list order, each
@@ -154,9 +165,10 @@ func SetsN(ordered []basepart.BasePartition, m *connmat.Matrix, limit int) []*Ca
 }
 
 func setKey(cs *CandidateSet) string {
-	key := ""
+	var b strings.Builder
 	for _, p := range cs.Parts {
-		key += p.Set.Key() + ";"
+		b.WriteString(p.Set.Key())
+		b.WriteByte(';')
 	}
-	return key
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"prpart/internal/core"
 	"prpart/internal/design"
 	"prpart/internal/partition"
 	"prpart/internal/resource"
@@ -362,5 +364,33 @@ func TestRemoteBatchMemberRetryHonoursRetryAfter(t *testing.T) {
 	}
 	if elapsed < 150*time.Millisecond {
 		t.Fatalf("solve took %v: the retry after an HTTP 503 ignored Retry-After (capped at 200ms)", elapsed)
+	}
+}
+
+// TestRemoteAsyncJobTimeoutNotResubmitted: a job that runs out of its
+// own deadline fails with 504, and the async client reports that
+// failure after one submission instead of resubmitting the job until
+// its failure budget runs out.
+func TestRemoteAsyncJobTimeoutNotResubmitted(t *testing.T) {
+	srv := serve.New(serve.Config{
+		Workers:        1,
+		DefaultTimeout: time.Millisecond,
+		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
+			<-ctx.Done() // slower than any deadline
+			return nil, ctx.Err()
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	solver := AsyncSolver(RemoteConfig{BaseURL: ts.URL, PollInterval: time.Millisecond,
+		RetryBase: time.Millisecond, MaxAttempts: 5})
+	_, err := solver(design.PaperExample(), partition.Options{})
+	if err == nil || !strings.Contains(err.Error(), "status 504") {
+		t.Fatalf("timed-out job: err = %v, want a status 504 failure", err)
+	}
+	if n := srv.Obs().Snapshot().Counters["serve.jobs_submitted"]; n != 1 {
+		t.Errorf("job submitted %d times, want 1", n)
 	}
 }

@@ -165,7 +165,7 @@ func (s *Server) await(wctx context.Context, call *flightCall, leader bool) (bod
 		default:
 			s.flight.leave(call)
 			if errors.Is(wctx.Err(), context.DeadlineExceeded) {
-				return nil, "", http.StatusGatewayTimeout, errors.New("serve: solve deadline exceeded")
+				return nil, "", http.StatusGatewayTimeout, errSolveDeadline
 			}
 			// Client went away; the status is never seen but keeps logs honest.
 			return nil, "", http.StatusServiceUnavailable, wctx.Err()

@@ -83,9 +83,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // other leader. The job is one waiter on that flight: its deadline, a
 // DELETE or a server close withdraws the job alone, while a shed of
 // this worker cancels the solve for every waiter.
-func (s *Server) runJobSolve(ctx context.Context, req *solveReq) ([]byte, int, error) {
+//
+// A job whose own timeoutMs passes records 504, as /v1/solve and batch
+// members answer: it ran out of time rather than being refused, so a
+// client must not resubmit it as it would a 503.
+func (s *Server) runJobSolve(ctx context.Context, req *solveReq) (body []byte, status int, err error) {
 	ctx, cancel := req.waitCtx(ctx)
 	defer cancel()
+	defer func() {
+		if errors.Is(err, context.DeadlineExceeded) {
+			body, status, err = nil, http.StatusGatewayTimeout, errSolveDeadline
+		}
+	}()
 	if body, _, ok := s.readTiers(ctx, req); ok {
 		return body, http.StatusOK, nil
 	}

@@ -444,3 +444,48 @@ func TestJobResultWhileRunning(t *testing.T) {
 	close(release)
 	waitJobState(t, ts, id, "done")
 }
+
+// TestJobOwnTimeoutIs504: a job whose own timeoutMs passes records 504
+// "serve: solve deadline exceeded", as /v1/solve and batch members
+// answer, whether it led the key's flight or found a solve already in
+// flight and solved a duplicate. A 503 would read as a refusal and be
+// resubmitted.
+func TestJobOwnTimeoutIs504(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	srv := serve.New(serve.Config{
+		Workers: 2,
+		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
+			if d.Name == "held" {
+				entered <- struct{}{}
+			}
+			<-ctx.Done() // slower than any deadline
+			return nil, ctx.Err()
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	expire := func(label string, body []byte) {
+		t.Helper()
+		id, _ := submitJob(t, ts, body)
+		rec := waitJobState(t, ts, id, "failed")
+		if rec.HTTPStatus != http.StatusGatewayTimeout || rec.Error != "serve: solve deadline exceeded" {
+			t.Errorf("%s: job record %+v, want 504 serve: solve deadline exceeded", label, rec)
+		}
+		if resp, rb := postPathGet(t, ts, "/v1/jobs/"+id+"/result"); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: result %d (%s), want 504", label, resp.StatusCode, rb)
+		}
+	}
+	expire("leader", solveBody(t, design.PaperExample(), `{"timeoutMs": 1}`))
+
+	// A /v1/solve without a deadline holds the flight; the job that
+	// finds it solves a duplicate under its own deadline.
+	held := design.PaperExample()
+	held.Name = "held"
+	lead := postAsync(ts, "/v1/solve", solveBody(t, held, ""))
+	<-entered
+	expire("duplicate", solveBody(t, held, `{"timeoutMs": 1}`))
+	srv.Close()
+	<-lead
+}

@@ -308,6 +308,7 @@ var (
 	errBulkQueueFull    = errors.New("serve: bulk queue full")
 	errDeadlineTooTight = errors.New("serve: estimated queue wait exceeds request deadline")
 	errShedForLatency   = errors.New("serve: bulk solve shed for latency-sensitive work")
+	errSolveDeadline    = errors.New("serve: solve deadline exceeded")
 )
 
 // retryAfter stamps a jittered Retry-After header sized to est (or the

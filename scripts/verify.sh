@@ -6,8 +6,9 @@
 #                              #   + oracle soak, + chaos, + multilevel,
 #                              #   + batch/async daemon-client e2e, + cluster
 #
-# Tier 1  go build + go test             — must always pass (ROADMAP gate),
-#         plus go vet + go test of the perfbench benchmark module
+# Tier 1  gofmt -l (must list nothing) + go build + go test — must
+#         always pass (ROADMAP gate), plus go vet + go test of the
+#         perfbench benchmark module
 # Tier 2  go vet + go test -race         — static checks and race detection,
 #         plus a 1-iteration Solve benchmark smoke run
 
@@ -63,7 +64,13 @@
 set -e
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + test =="
+echo "== tier 1: gofmt + build + test =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
 go build ./...
 go test ./...
 # perfbench is a module of its own, so ./... never builds it.
