@@ -22,7 +22,9 @@
 package basepart
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"prpart/internal/connmat"
 	"prpart/internal/design"
@@ -54,47 +56,92 @@ const MaxConfigModes = 20
 
 // BasePartitions returns every base partition of the design behind a
 // connectivity matrix, each mode set once: the paper's Table I content.
-// The cost is Σ 2^k over configurations with k active modes. The slice
-// is in configuration order, then subset order; order it with
+// The cost is Σ 2^k·k over configurations with k active modes. The
+// slice is in configuration order, then subset order; order it with
 // cover.Order before use.
+//
+// Per configuration it builds one k×k table of pair weights (node
+// weights on the diagonal) and walks the subset masks in increasing
+// order, so a subset's frequency weight and summed resources extend
+// those of the subset without its highest mode. A mode's node weight is
+// at least its edge weight to any other mode, so the minimum over a
+// singleton's "edges" (its node weight) and a new mode's edges is the
+// minimum edge weight of the pair — the recurrence needs no special
+// case for two-mode subsets.
 func BasePartitions(m *connmat.Matrix) ([]BasePartition, error) {
 	d := m.Design()
+	maxK := 0
 	for ci := range d.Configurations {
-		if n := len(d.ConfigModes(ci)); n > MaxConfigModes {
+		n := len(d.ConfigModes(ci))
+		if n > MaxConfigModes {
 			return nil, fmt.Errorf("basepart: configuration %d has %d active modes; max supported is %d",
 				ci, n, MaxConfigModes)
 		}
+		maxK = max(maxK, n)
 	}
 
+	// Per subset mask of the current configuration: frequency weight
+	// and summed resources. Per mode pair: the weight table.
+	weight := make([]int, 1<<maxK)
+	res := make([]resource.Vector, 1<<maxK)
+	pair := make([]int, maxK*maxK)
+	refs := make([]design.ModeRef, 0, maxK)
+	var key []byte
+
 	var parts []BasePartition
-	seen := make(map[string]bool)
+	// seen holds the keys of the sets already emitted. The first
+	// configuration's subsets are distinct, so it skips the lookup; the
+	// last one's are never looked up again, so it skips the insert.
+	seen := make(map[string]struct{})
+	last := len(d.Configurations) - 1
 	for ci := range d.Configurations {
 		modes := d.ConfigModes(ci)
-		for mask := 1; mask < 1<<len(modes); mask++ {
-			var refs []design.ModeRef
-			for i, r := range modes {
-				if mask&(1<<i) != 0 {
-					refs = append(refs, r)
+		k := len(modes)
+		for i, a := range modes {
+			pair[i*k+i] = m.NodeWeight(a)
+			for j := i + 1; j < k; j++ {
+				w := m.EdgeWeight(a, modes[j])
+				pair[i*k+j], pair[j*k+i] = w, w
+			}
+		}
+		for mask := 1; mask < 1<<k; mask++ {
+			hi := bits.Len(uint(mask)) - 1
+			rest := mask &^ (1 << hi)
+			if rest == 0 {
+				weight[mask], res[mask] = pair[hi*k+hi], d.ModeResources(modes[hi])
+			} else {
+				w := weight[rest]
+				for r := rest; r != 0; r &= r - 1 {
+					w = min(w, pair[hi*k+bits.TrailingZeros(uint(r))])
+				}
+				weight[mask], res[mask] = w, res[rest].Add(res[1<<hi])
+			}
+
+			// ConfigModes lists one mode per module in module order, so
+			// the subset's modes in bit order are already canonical.
+			refs, key = refs[:0], key[:0]
+			for r := mask; r != 0; r &= r - 1 {
+				ref := modes[bits.TrailingZeros(uint(r))]
+				refs = append(refs, ref)
+				if ci > 0 || ci < last {
+					key = binary.AppendUvarint(key, uint64(ref.Module))
+					key = binary.AppendUvarint(key, uint64(ref.Mode))
 				}
 			}
-			s := modeset.New(refs...)
-			if key := s.Key(); !seen[key] {
-				seen[key] = true
-				parts = append(parts, BasePartition{
-					Set:        s,
-					FreqWeight: m.MinEdgeWeight(refs),
-					Resources:  sumResources(d, s),
-				})
+			if ci > 0 {
+				if _, dup := seen[string(key)]; dup {
+					continue
+				}
 			}
+			if ci < last {
+				seen[string(key)] = struct{}{}
+			}
+			parts = append(parts, BasePartition{
+				Set:        modeset.New(refs...),
+				FreqWeight: weight[mask],
+				Resources:  res[mask],
+			})
 		}
 	}
 	return parts, nil
-}
-
-func sumResources(d *design.Design, s modeset.Set) resource.Vector {
-	var v resource.Vector
-	for _, r := range s.Refs() {
-		v = v.Add(d.ModeResources(r))
-	}
-	return v
 }

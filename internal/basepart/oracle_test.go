@@ -7,6 +7,7 @@ import (
 	"prpart/internal/connmat"
 	"prpart/internal/design"
 	"prpart/internal/modeset"
+	"prpart/internal/resource"
 )
 
 // The paper's modified hierarchical clustering (§IV-C, Fig. 5), kept as
@@ -132,4 +133,13 @@ func allEdges(m *connmat.Matrix) []edge {
 		return edges[a].Weight > edges[b].Weight
 	})
 	return edges
+}
+
+// sumResources is the summed utilisation of a set's modes.
+func sumResources(d *design.Design, s modeset.Set) resource.Vector {
+	var v resource.Vector
+	for i := 0; i < s.Len(); i++ {
+		v = v.Add(d.ModeResources(s.At(i)))
+	}
+	return v
 }

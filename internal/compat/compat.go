@@ -64,8 +64,8 @@ func ConfigMask(m *connmat.Matrix, set modeset.Set) Mask {
 	n := m.NumConfigs()
 	out := NewMask(n)
 	for ci := 0; ci < n; ci++ {
-		for _, r := range set.Refs() {
-			if m.Contains(ci, r) {
+		for i := 0; i < set.Len(); i++ {
+			if m.Contains(ci, set.At(i)) {
 				out.Set(ci)
 				break
 			}

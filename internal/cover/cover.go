@@ -100,8 +100,8 @@ func Cover(list []basepart.BasePartition, m *connmat.Matrix) (*CandidateSet, err
 		var active []int
 		for ci := 0; ci < nCfg; ci++ {
 			covered := false
-			for _, r := range bp.Set.Refs() {
-				if work.Clear(ci, r) {
+			for i := 0; i < bp.Set.Len(); i++ {
+				if work.Clear(ci, bp.Set.At(i)) {
 					covered = true
 				}
 			}

@@ -5,7 +5,10 @@
 package modeset
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"prpart/internal/design"
@@ -21,17 +24,20 @@ type Set struct {
 // New builds a set from the given references, sorting and deduplicating.
 func New(refs ...design.ModeRef) Set {
 	out := append([]design.ModeRef(nil), refs...)
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortFunc(out, compare)
 	out = dedupe(out)
 	return Set{refs: out}
 }
 
-func less(a, b design.ModeRef) bool {
-	if a.Module != b.Module {
-		return a.Module < b.Module
+// compare is the canonical order: by module, then by mode.
+func compare(a, b design.ModeRef) int {
+	if c := cmp.Compare(a.Module, b.Module); c != 0 {
+		return c
 	}
-	return a.Mode < b.Mode
+	return cmp.Compare(a.Mode, b.Mode)
 }
+
+func less(a, b design.ModeRef) bool { return compare(a, b) < 0 }
 
 func dedupe(refs []design.ModeRef) []design.ModeRef {
 	w := 0
@@ -50,11 +56,14 @@ func (s Set) Len() int { return len(s.refs) }
 // IsEmpty reports whether the set has no modes.
 func (s Set) IsEmpty() bool { return len(s.refs) == 0 }
 
-// Refs returns the modes in canonical order. The caller must not modify
-// the returned slice contents of the set; a fresh copy is returned.
+// Refs returns the modes in canonical order, as a fresh copy the caller
+// may keep or modify. To read the modes without copying, use Len and At.
 func (s Set) Refs() []design.ModeRef {
 	return append([]design.ModeRef(nil), s.refs...)
 }
+
+// At returns the i-th mode in canonical order, 0 <= i < Len().
+func (s Set) At(i int) design.ModeRef { return s.refs[i] }
 
 // Contains reports whether r is a member of the set.
 func (s Set) Contains(r design.ModeRef) bool {
@@ -116,13 +125,20 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// Key returns a canonical string usable as a map key.
+// Key returns a canonical string usable as a map key: the modes'
+// positional references (design.ModeRef.String) joined by commas.
 func (s Set) Key() string {
-	parts := make([]string, len(s.refs))
+	var b []byte
 	for i, r := range s.refs {
-		parts[i] = r.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, 'm')
+		b = strconv.AppendInt(b, int64(r.Module), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(r.Mode), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Label renders the set with human-readable mode names from d, in the

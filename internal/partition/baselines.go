@@ -15,8 +15,8 @@ import (
 func basePartition(d *design.Design, refs ...design.ModeRef) basepart.BasePartition {
 	s := modeset.New(refs...)
 	var v resource.Vector
-	for _, r := range s.Refs() {
-		v = v.Add(d.ModeResources(r))
+	for i := 0; i < s.Len(); i++ {
+		v = v.Add(d.ModeResources(s.At(i)))
 	}
 	return basepart.BasePartition{Set: s, FreqWeight: 1, Resources: v}
 }

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"sync"
+
 	"prpart/internal/device"
 	"prpart/internal/resource"
 )
@@ -39,12 +41,14 @@ type scoredMove struct {
 }
 
 // scratch is the reusable working set of one search worker: move and
-// activation buffers, the delta cache, the quantisation memo and the
-// move scan's dense destination rows. A scratch is reused across the
-// candidate sets a worker processes (avoiding re-growth of the maps and
-// slices) but reset per set, so cache hit/miss counters are a
-// deterministic function of the input regardless of how sets are
-// distributed over workers.
+// activation buffers, the descent's state buffers, the delta cache, the
+// quantisation memo, the move scan's dense destination rows and the
+// slabs groups are carved from. A scratch is reused across the
+// candidate sets a worker processes, and across solves through
+// scratchPool (avoiding re-growth of the maps and slices), but reset
+// per set, so cache hit/miss counters are a deterministic function of
+// the input regardless of how sets are distributed over workers or
+// which scratch a solve draws.
 type scratch struct {
 	moves  []move
 	scored []scoredMove
@@ -54,6 +58,51 @@ type scratch struct {
 	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
 	nextID uint64
 	n      tally
+
+	// desc is the state greedy descends in and first the restart state
+	// run builds per first move. Both are refilled with state.copyTo
+	// and never handed out: snapshots deep-copy them.
+	desc, first state
+
+	// groupSlab and partSlab are the unused tails of the chunks that
+	// group structs and part lists are carved from. A chunk is handed
+	// out piece by piece and never reused, so a group stays valid for
+	// as long as anything references it, whatever the scratch does
+	// next; a new chunk replaces an exhausted one.
+	groupSlab []group
+	partSlab  []int
+}
+
+// Slab chunk sizes: a group chunk is ~25 KB, a part chunk 8 KB. A part
+// list longer than a quarter chunk gets an allocation of its own rather
+// than orphan the rest of a chunk.
+const (
+	groupSlabLen = 128
+	partSlabLen  = 1024
+)
+
+// group hands out a zeroed group struct from the slab.
+func (sc *scratch) group() *group {
+	if len(sc.groupSlab) == 0 {
+		sc.groupSlab = make([]group, groupSlabLen)
+	}
+	g := &sc.groupSlab[0]
+	sc.groupSlab = sc.groupSlab[1:]
+	return g
+}
+
+// partList hands out a part list of length and capacity n from the
+// slab; the capacity bound keeps an append from reaching the next list.
+func (sc *scratch) partList(n int) []int {
+	if n > len(sc.partSlab) {
+		if n > partSlabLen/4 {
+			return make([]int, n)
+		}
+		sc.partSlab = make([]int, partSlabLen)
+	}
+	p := sc.partSlab[:n:n]
+	sc.partSlab = sc.partSlab[n:]
+	return p
 }
 
 // tally counts cache and memo outcomes in plain fields of the scratch
@@ -72,6 +121,48 @@ func newScratch() *scratch {
 	}
 	sc.pairs.init()
 	return sc
+}
+
+// scratchPool recycles solve scratches across solves, so a solve does
+// not pay for a fresh pair table, memo and dense rows. Reuse cannot
+// change a result: reset clears every cache per candidate set, and what
+// survives it (buffer capacity, slab tails) holds no values a search
+// reads.
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
+// Retention bounds of scratchPool: a scratch whose pair table or dense
+// rows grew past them is dropped, not pooled, because reset clears the
+// whole table and every row per candidate set — one large solve must
+// not make every later small solve clear its oversized caches — and
+// because a pooled scratch is live heap the GC budgets for. The table
+// bound is 2× its initial 4096 slots (~320 KB); the row bound is in
+// dense slots over all rows (~270 KB).
+const (
+	maxPooledPairSlots = 1 << 13
+	maxPooledRowSlots  = 1 << 13
+)
+
+// getScratch takes a scratch from scratchPool.
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns sc to scratchPool unless it outgrew the retention
+// bounds. The caller must not use sc afterwards; snapshots taken with
+// it stay valid (they own their slices, and slabs are never reused).
+func putScratch(sc *scratch) {
+	if len(sc.pairs.keys) > maxPooledPairSlots {
+		return
+	}
+	rows := 0
+	for i := range sc.ext {
+		rows += len(sc.ext[i].flags)
+	}
+	if rows > maxPooledRowSlots {
+		return
+	}
+	// The descent states still point at the last solve's groups; drop
+	// them so a pooled scratch pins no slab chunk it is done with.
+	sc.desc, sc.first = state{}, state{}
+	scratchPool.Put(sc)
 }
 
 // reset prepares the scratch for a new candidate set. Map, table and

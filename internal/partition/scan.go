@@ -136,32 +136,34 @@ type shardCand struct {
 	rejects int64 // candidates rejected by the greedy policy
 }
 
-// betterCand is the greedy selection rule: whether candidate a beats
-// incumbent b. While feasible, the lower cost delta wins, then the
-// larger area saving (cost-neutral area reductions make room for later
-// static promotions). While infeasible, the lower cost increase per
-// unit of violation removed wins, then the smaller resulting violation.
-// The enumeration ordinal breaks exact ties, so the first best move in
-// enumeration order is chosen.
-func betterCand(a, b *shardCand, feasible bool) bool {
+// betterCand is the greedy selection rule: whether a candidate with
+// cost delta d, saving saved, resulting violation v and ordinal ord
+// beats incumbent b. While feasible, the lower cost delta wins, then
+// the larger area saving (cost-neutral area reductions make room for
+// later static promotions). While infeasible, the lower cost increase
+// per unit of violation removed wins, then the smaller resulting
+// violation. The enumeration ordinal breaks exact ties, so the first
+// best move in enumeration order is chosen. The candidate side is
+// scalars so the scan can test a move before building anything.
+func betterCand(d, saved, v int64, ord uint64, b *shardCand, feasible bool) bool {
 	if feasible {
-		if a.d != b.d {
-			return a.d < b.d
+		if d != b.d {
+			return d < b.d
 		}
-		if a.saved != b.saved {
-			return a.saved > b.saved
+		if saved != b.saved {
+			return saved > b.saved
 		}
-		return a.ord < b.ord
+		return ord < b.ord
 	}
 	// Cross-multiply to stay in integers (saved > 0 on both sides).
-	al, bl := a.d*b.saved, b.d*a.saved
+	al, bl := d*b.saved, b.d*saved
 	if al != bl {
 		return al < bl
 	}
-	if a.v != b.v {
-		return a.v < b.v
+	if v != b.v {
+		return v < b.v
 	}
-	return a.ord < b.ord
+	return ord < b.ord
 }
 
 // Dense row slot states. extUnknown must be zero so freshly grown (and
@@ -458,7 +460,7 @@ func (p *moveScan) scan(cur *state, shards int, allowStatic, allowTransfers bool
 		if !c.ok {
 			continue
 		}
-		if win < 0 || betterCand(c, &p.cands[win], feasible) {
+		if win < 0 || betterCand(c.d, c.saved, c.v, c.ord, &p.cands[win], feasible) {
 			win = si
 		}
 	}
@@ -492,9 +494,10 @@ func (p *moveScan) runShard(si int) {
 	*best = shardCand{}
 
 	// accept applies the greedy selection policy to an evaluated legal
-	// move and updates the shard incumbent.
+	// move and updates the shard incumbent. The scores are compared
+	// before anything is written, so a losing candidate costs no copy.
 	accept := func(mv move, ord uint64, d int64, area resource.Vector, v int64) {
-		var cand shardCand
+		var saved int64
 		if feasible {
 			// Accept strict cost improvements, or cost-neutral area
 			// reductions.
@@ -502,16 +505,15 @@ func (p *moveScan) runShard(si int) {
 				best.rejects++
 				return
 			}
-			cand = shardCand{ok: true, mv: mv, ord: ord, d: d,
-				saved: int64(curArea.Total() - area.Total())}
+			saved, v = int64(curArea.Total()-area.Total()), 0
 		} else {
-			cand = shardCand{ok: true, mv: mv, ord: ord, d: d, v: v,
-				saved: curViol - v}
+			saved = curViol - v
 		}
-		if !best.ok || betterCand(&cand, best, feasible) {
-			cand.moves, cand.rejects = best.moves, best.rejects
-			*best = cand
+		if best.ok && !betterCand(d, saved, v, ord, best, feasible) {
+			return
 		}
+		best.ok, best.mv, best.ord = true, mv, ord
+		best.d, best.v, best.saved = d, v, saved
 	}
 
 	consider := func(mv move, ord uint64) {

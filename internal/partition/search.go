@@ -218,22 +218,23 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	}
 	stopSearch := opts.Obs.Timer("partition.phase.search").Time()
 	busy := opts.Obs.Timer("partition.worker_busy")
-	// runSet searches one candidate set with a reusable per-worker
-	// scratch; the searcher itself is cheap, the scratch holds the
-	// buffers and caches worth keeping warm across sets.
+	// runSet searches one candidate set with a per-worker scratch drawn
+	// from scratchPool; the searcher itself is cheap, the scratch holds
+	// the buffers and caches worth keeping warm across sets and solves.
 	runSet := func(i int, sc *scratch) {
 		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).run()
 	}
 	if workers <= 1 || len(sets) <= 1 {
 		opts.Obs.Gauge("partition.workers").Observe(1)
 		stopBusy := busy.Time()
-		sc := newScratch()
+		sc := getScratch()
 		for i := range sets {
 			if ctx.Err() != nil {
 				break
 			}
 			runSet(i, sc)
 		}
+		putScratch(sc)
 		stopBusy()
 	} else {
 		opts.Obs.Gauge("partition.workers").Observe(int64(workers))
@@ -251,7 +252,8 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 				defer wg.Done()
 				stopBusy := busy.Time()
 				defer stopBusy()
-				sc := newScratch()
+				sc := getScratch()
+				defer putScratch(sc)
 				for i := range jobs {
 					if ctx.Err() != nil {
 						continue // drain without searching

@@ -14,7 +14,7 @@ import (
 //
 // Groups are immutable once constructed (see newGroup): every move
 // builds replacement groups and only edits the state's group slice.
-// That invariant is what lets clone share group pointers, snapshots
+// That invariant is what lets copies share group pointers, snapshots
 // survive later in-place moves, and the delta cache in delta.go key
 // entries by group id without ever invalidating them.
 type state struct {
@@ -60,18 +60,24 @@ func (st *state) totalArea() resource.Vector {
 	return v
 }
 
-// clone copies the state's own slices. Group pointers are shared —
-// groups are immutable — and the path is capacity-trimmed so appends by
-// the clone (or the original) can never write into the other's tail.
+// copyTo overwrites dst with st, reusing dst's slice capacity: the
+// group list, static list and path are copied, group pointers (and the
+// part lists path steps reference) are shared, since groups are
+// immutable. The descent's scratch states are refilled this way; dst
+// must not be a state whose slices a snapshot still holds.
+func (st *state) copyTo(dst *state) {
+	dst.groups = append(dst.groups[:0], st.groups...)
+	dst.static = append(dst.static[:0], st.static...)
+	dst.path = append(dst.path[:0], st.path...)
+	dst.staticRes, dst.cost, dst.area = st.staticRes, st.cost, st.area
+}
+
+// clone returns a copy of st that owns all of its slices, so neither
+// side's later edits or appends can reach the other.
 func (st *state) clone() *state {
-	return &state{
-		groups:    append([]*group(nil), st.groups...),
-		static:    append([]int(nil), st.static...),
-		staticRes: st.staticRes,
-		path:      st.path[:len(st.path):len(st.path)],
-		cost:      st.cost,
-		area:      st.area,
-	}
+	out := &state{}
+	st.copyTo(out)
+	return out
 }
 
 // searchFrames converts a raw resource requirement into the search cost
@@ -86,10 +92,13 @@ func (s *searcher) searchFrames(res resource.Vector) int64 {
 	return int64(device.Frames(res)) * frameScale
 }
 
-// newGroup builds an immutable group holding the given parts. The id is
-// a per-candidate-set sequence number used as a delta-cache key.
+// newGroup builds an immutable group holding the given parts, which it
+// takes ownership of. The id is a per-candidate-set sequence number
+// used as a delta-cache key. The group struct is carved from the
+// searcher scratch's slab (see scratch.group).
 func (s *searcher) newGroup(parts ...int) *group {
-	g := &group{parts: parts, id: s.sc.nextID}
+	g := s.sc.group()
+	g.parts, g.id = parts, s.sc.nextID
 	s.sc.nextID++
 	for _, pi := range parts {
 		g.res = g.res.Max(s.partRes[pi])
@@ -185,7 +194,9 @@ func (s *searcher) initial() *state {
 			st.staticRes = st.staticRes.Add(s.partRes[pi])
 			continue
 		}
-		st.groups = append(st.groups, s.newGroup(pi))
+		p := s.sc.partList(1)
+		p[0] = pi
+		st.groups = append(st.groups, s.newGroup(p...))
 	}
 	st.cost = st.totalCost()
 	st.area = st.totalArea()
@@ -213,21 +224,24 @@ type move struct {
 //
 // sc must be the scratch whose delta cache evaluated mv (the shard
 // scratch of a sharded refine scan, s.sc otherwise) so the entry
-// lookups below always hit.
+// lookups below always hit. New part lists are sized once and carved
+// from s.sc's slab; path steps reference the operands' immutable part
+// lists instead of copying them.
 func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	if mv.part >= 0 && mv.j >= 0 {
 		gi, gj := st.groups[mv.i], st.groups[mv.j]
-		pi := gi.parts[mv.part]
+		k := mv.part
+		pi := gi.parts[k]
 		dst := s.extendEntry(sc, gj, pi)
-		src := s.shrinkEntry(sc, gi, mv.part)
-		rest := make([]int, 0, len(gi.parts)-1)
-		for k, p := range gi.parts {
-			if k != mv.part {
-				rest = append(rest, p)
-			}
-		}
-		st.path = append(st.path, pathStep{a: []int{pi}, b: gj.parts})
-		merged := s.newGroup(append(append([]int(nil), gj.parts...), pi)...)
+		src := s.shrinkEntry(sc, gi, k)
+		rest := s.sc.partList(len(gi.parts) - 1)
+		copy(rest, gi.parts[:k])
+		copy(rest[k:], gi.parts[k+1:])
+		st.path = append(st.path, pathStep{a: gi.parts[k : k+1 : k+1], b: gj.parts})
+		joined := s.sc.partList(len(gj.parts) + 1)
+		copy(joined, gj.parts)
+		joined[len(gj.parts)] = pi
+		merged := s.newGroup(joined...)
 		hi, lo := mv.i, mv.j
 		if hi < lo {
 			hi, lo = lo, hi
@@ -255,7 +269,10 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	gi, gj := st.groups[mv.i], st.groups[mv.j]
 	e := s.mergeEntry(sc, gi, gj)
 	st.path = append(st.path, pathStep{a: gi.parts, b: gj.parts})
-	merged := s.newGroup(append(append([]int(nil), gi.parts...), gj.parts...)...)
+	joined := s.sc.partList(len(gi.parts) + len(gj.parts))
+	copy(joined, gi.parts)
+	copy(joined[len(gi.parts):], gj.parts)
+	merged := s.newGroup(joined...)
 	hi, lo := mv.i, mv.j
 	if hi < lo {
 		hi, lo = lo, hi
@@ -265,13 +282,6 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	st.groups = append(st.groups, merged)
 	st.cost += e.contrib - gi.contrib - gj.contrib
 	st.area = st.area.Sub(gi.area).Sub(gj.area).Add(e.area)
-}
-
-// apply returns a new state with the move applied.
-func (s *searcher) apply(st *state, mv move) *state {
-	out := st.clone()
-	s.applyMove(s.sc, out, mv)
-	return out
 }
 
 // appendLegalMoves appends the first moves available from st to out
@@ -303,6 +313,8 @@ type snapshot struct {
 	area resource.Vector
 }
 
+// snap deep-copies st (clone), so a snapshot of one of the scratch's
+// reused descent states survives every later descent.
 func (s *searcher) snap(st *state) *snapshot {
 	return &snapshot{s: s, st: st.clone(), cost: st.cost, area: st.area}
 }
@@ -467,8 +479,13 @@ func (s *searcher) run() (*snapshot, int) {
 		if maxFirst := s.opts.maxFirst(); len(scored) > maxFirst {
 			scored = scored[:maxFirst]
 		}
+		// Each restart state is rebuilt in the scratch's first-move
+		// buffer; record snapshots copy it, and greedy descends from a
+		// copy of its own.
+		st := &s.sc.first
 		for _, c := range scored {
-			st := s.apply(base, c.mv)
+			base.copyTo(st)
+			s.applyMove(s.sc, st, c.mv)
 			record(st)
 			s.descend(st, record)
 		}
@@ -483,11 +500,12 @@ func (s *searcher) run() (*snapshot, int) {
 // restricted descents keep the smaller search spaces covered and the
 // recorded-state set grows monotonically with each family.
 func (s *searcher) descend(st *state, record func(*state)) {
-	statics := []bool{false}
-	if !s.opts.NoStatic {
-		statics = append(statics, true)
+	statics := [...]bool{false, true}
+	n := len(statics)
+	if s.opts.NoStatic {
+		n = 1
 	}
-	for _, withStatic := range statics {
+	for _, withStatic := range statics[:n] {
 		s.greedy(st, withStatic, false, record)
 		s.greedy(st, withStatic, true, record)
 	}
@@ -503,7 +521,7 @@ func (s *searcher) moduleGrouped() *state {
 		if p.Set.Len() != 1 {
 			return nil
 		}
-		mi := p.Set.Refs()[0].Module
+		mi := p.Set.At(0).Module
 		if _, ok := byModule[mi]; !ok {
 			order = append(order, mi)
 		}
@@ -536,13 +554,16 @@ func (s *searcher) moduleGrouped() *state {
 // model; it can never reduce cost). Once feasible it applies
 // cost-improving moves — in practice static promotions — until none
 // remain. Candidates are scored by the move scan (scan.go) against the
-// delta cache; the state mutates in place, so one descent allocates
-// only what its applied moves create.
+// delta cache. The descending state is the scratch's desc buffer,
+// refilled from st and mutated in place, so a descent allocates only
+// the groups its applied moves create (from the scratch slabs) and the
+// snapshots record takes of strictly better states.
 func (s *searcher) greedy(st *state, allowStatic, allowTransfers bool, record func(*state)) {
 	s.cDescents.Inc()
 	depth := 0
 	defer func() { s.gDepth.Observe(int64(depth)) }()
-	cur := st.clone()
+	cur := &s.sc.desc
+	st.copyTo(cur)
 	s.scan.beginRun()
 	for {
 		mv, sc, ok := s.scan.scan(cur, s.scan.shardsFor(cur, allowTransfers), allowStatic, allowTransfers)

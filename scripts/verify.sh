@@ -36,7 +36,8 @@
 #         parallel-refinement identity contract (DESIGN.md §14) under
 #         the race detector: Workers must change wall-clock time and
 #         nothing else, so the serial-vs-parallel suites re-run with
-#         -race over the partition and multilevel packages. Then the
+#         -race over the partition and multilevel packages, together
+#         with the pooled-scratch identity suites (DESIGN.md §9). Then the
 #         committed benchmark baselines are gated along the chain
 #         pr3 -> pr4 (-tol 10: the incremental engine must keep every
 #         headline metric byte-identical), pr4 -> pr7 and pr7 -> pr9
@@ -107,7 +108,7 @@ if [ "$1" = "all" ]; then
 	go test -run Multilevel -count=2 ./internal/multilevel/
 
 	echo "== tier 6: parallel-refinement identity under the race detector =="
-	go test -race -run 'ParallelIdentity|RefineWorkers' ./internal/multilevel/ ./internal/partition/
+	go test -race -run 'ParallelIdentity|RefineWorkers|PooledScratch' ./internal/multilevel/ ./internal/partition/
 
 	echo "== tier 6: benchmark baseline gates (pr3 -> pr4 -> pr7 -> pr9) =="
 	go run ./scripts -tol 10 results/BENCH_pr3.json results/BENCH_pr4.json
