@@ -166,7 +166,7 @@ func TestFrequencyWeightDefinition(t *testing.T) {
 		}
 		for _, bp := range parts {
 			refs := bp.Set.Refs()
-			want := m.MinEdgeWeight(refs)
+			want := minEdgeWeight(m, refs)
 			if bp.FreqWeight != want {
 				t.Errorf("%s: %s freq weight = %d, want %d", d.Name, bp.Label(d), bp.FreqWeight, want)
 			}

@@ -84,7 +84,7 @@ func edgeInsertion(m *connmat.Matrix) []BasePartition {
 				seen[s.Key()] = true
 				parts = append(parts, BasePartition{
 					Set:        s,
-					FreqWeight: m.MinEdgeWeight(s.Refs()),
+					FreqWeight: minEdgeWeight(m, s.Refs()),
 					Resources:  sumResources(d, s),
 				})
 			}
@@ -142,4 +142,22 @@ func sumResources(d *design.Design, s modeset.Set) resource.Vector {
 		v = v.Add(d.ModeResources(s.At(i)))
 	}
 	return v
+}
+
+// minEdgeWeight returns the smallest pairwise edge weight within a set of
+// two or more modes: the paper's frequency weight for multi-mode base
+// partitions. For singletons it returns the node weight.
+func minEdgeWeight(m *connmat.Matrix, set []design.ModeRef) int {
+	if len(set) == 1 {
+		return m.NodeWeight(set[0])
+	}
+	minW := -1
+	for i := 0; i < len(set); i++ {
+		for j := i + 1; j < len(set); j++ {
+			if w := m.EdgeWeight(set[i], set[j]); minW < 0 || w < minW {
+				minW = w
+			}
+		}
+	}
+	return max(minW, 0)
 }

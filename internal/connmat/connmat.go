@@ -106,28 +106,6 @@ func (m *Matrix) EdgeWeight(a, b design.ModeRef) int {
 	return n
 }
 
-// MinEdgeWeight returns the smallest pairwise edge weight within a set of
-// two or more modes: the paper's frequency weight for multi-mode base
-// partitions. For singletons it returns the node weight.
-func (m *Matrix) MinEdgeWeight(set []design.ModeRef) int {
-	if len(set) == 1 {
-		return m.NodeWeight(set[0])
-	}
-	minW := -1
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			w := m.EdgeWeight(set[i], set[j])
-			if minW < 0 || w < minW {
-				minW = w
-			}
-		}
-	}
-	if minW < 0 {
-		return 0
-	}
-	return minW
-}
-
 // Clone returns an independent copy of the matrix that can be zeroed by
 // the covering algorithm without disturbing the original.
 func (m *Matrix) Clone() *Matrix {

@@ -108,8 +108,8 @@ func FuzzMatrix(f *testing.F) {
 				if s := support(m, []design.ModeRef{a, b}); s != ab {
 					t.Fatalf("support pair = %d, EdgeWeight = %d", s, ab)
 				}
-				if mw := m.MinEdgeWeight([]design.ModeRef{a, b}); mw != ab {
-					t.Fatalf("MinEdgeWeight pair = %d, EdgeWeight = %d", mw, ab)
+				if mw := minEdgeWeight(m, []design.ModeRef{a, b}); mw != ab {
+					t.Fatalf("minEdgeWeight pair = %d, EdgeWeight = %d", mw, ab)
 				}
 			}
 		}

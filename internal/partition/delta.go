@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 
 	"prpart/internal/device"
@@ -17,7 +18,10 @@ import (
 //     extended, or shrunken) group depend only on the operand groups'
 //     contents, so they are cached under the operands' identities and
 //     survive across descent iterations — after an applied move, only
-//     pairs involving the two touched groups miss.
+//     pairs involving the two touched groups miss. Groups are
+//     hash-consed per candidate set (newGroup), so an identity stands
+//     for content: a group another descent rebuilds gets its old id
+//     back, and its entries hit instead of being costed again.
 //   - a quantisation memo: device.Tiles / device.TilesToPrimitives /
 //     the frame count of a raw resource vector are pure functions, and
 //     the same part subsets are re-quantised thousands of times per run.
@@ -41,23 +45,31 @@ type scoredMove struct {
 }
 
 // scratch is the reusable working set of one search worker: move and
-// activation buffers, the descent's state buffers, the delta cache, the
-// quantisation memo, the move scan's dense destination rows and the
-// slabs groups are carved from. A scratch is reused across the
-// candidate sets a worker processes, and across solves through
-// scratchPool (avoiding re-growth of the maps and slices), but reset
-// per set, so cache hit/miss counters are a deterministic function of
-// the input regardless of how sets are distributed over workers or
-// which scratch a solve draws.
+// activation buffers, the descent's state buffers, the group intern
+// table, the delta cache, the quantisation memo, the move scan's dense
+// destination rows and per-state memo, and the slabs groups are carved
+// from. A scratch is reused across the candidate sets a worker
+// processes, and across solves through scratchPool (avoiding re-growth
+// of the maps and slices), but reset per set, so cache hit/miss
+// counters are a deterministic function of the input regardless of how
+// sets are distributed over workers or which scratch a solve draws.
 type scratch struct {
 	moves  []move
 	scored []scoredMove
 	act    []int32
+	parts  []int // applyMove's candidate part lists, copied by newGroup on an intern miss
 	pairs  pairTable
 	quant  map[resource.Vector]quantEntry
 	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
-	nextID uint64
+	memo   scanMemo // per-state class results of the move scan (see scan.go)
 	n      tally
+
+	// groups[id] is the group with that id, and intern is the
+	// hash-consing table over them (see newGroup): an open-addressed
+	// slot array of id+1 (0 = empty) keyed by the hash of a group's
+	// ordered part list. Ids are dense, so len(groups) is the next id.
+	groups []*group
+	intern []uint32
 
 	// desc is the state greedy descends in and first the restart state
 	// run builds per first move. Both are refilled with state.copyTo
@@ -115,6 +127,60 @@ type tally struct {
 	snapSkip            int64
 }
 
+// nextID is the id the next interned group gets.
+func (sc *scratch) nextID() uint64 { return uint64(len(sc.groups)) }
+
+// hashMix folds one word into a running hash (64-bit FNV-1a over
+// words). Callers spread the result over a table with hashSlot.
+func hashMix(h, w uint64) uint64 { return (h ^ w) * 0x100000001b3 }
+
+// hashSlot maps a hash or key to its preferred slot of a power-of-two
+// table (the golden-ratio multiplier moves the mixed low bits up).
+func hashSlot(h uint64, slots int) int {
+	return int((h * 0x9e3779b97f4a7c15 >> 32) & uint64(slots-1))
+}
+
+// partsHash hashes an ordered part list for the intern table.
+func partsHash(parts []int) uint64 {
+	h := uint64(len(parts))
+	for _, p := range parts {
+		h = hashMix(h, uint64(p))
+	}
+	return h
+}
+
+// internInitialSlots is the intern table's first size; it doubles at
+// 2/3 load.
+const internInitialSlots = 1 << 10
+
+// internFind returns the intern slot of parts: holding the id+1 of the
+// group already built with exactly this ordered part list, or empty
+// where such a group is to be recorded. It grows the table first, so
+// the returned slot stays valid for one insert.
+func (sc *scratch) internFind(parts []int) int {
+	if 3*len(sc.groups) >= 2*len(sc.intern) {
+		sc.growIntern()
+	}
+	for i := hashSlot(partsHash(parts), len(sc.intern)); ; i = (i + 1) & (len(sc.intern) - 1) {
+		id := sc.intern[i]
+		if id == 0 || slices.Equal(sc.groups[id-1].parts, parts) {
+			return i
+		}
+	}
+}
+
+func (sc *scratch) growIntern() {
+	n := max(2*len(sc.intern), internInitialSlots)
+	sc.intern = make([]uint32, n)
+	for id, g := range sc.groups {
+		i := hashSlot(partsHash(g.parts), n)
+		for sc.intern[i] != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		sc.intern[i] = uint32(id + 1)
+	}
+}
+
 func newScratch() *scratch {
 	sc := &scratch{
 		quant: make(map[resource.Vector]quantEntry),
@@ -130,51 +196,70 @@ func newScratch() *scratch {
 // reads.
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
-// Retention bounds of scratchPool: a scratch whose pair table or dense
-// rows grew past them is dropped, not pooled, because reset clears the
-// whole table and every row per candidate set — one large solve must
+// retention lists the retention bounds of scratchPool: a scratch with
+// any size past its bound is dropped, not pooled, because reset clears
+// every table, row and memo per candidate set — one large solve must
 // not make every later small solve clear its oversized caches — and
-// because a pooled scratch is live heap the GC budgets for. The table
-// bound is 2× its initial 4096 slots (~320 KB); the row bound is in
-// dense slots over all rows (~270 KB).
-const (
-	maxPooledPairSlots = 1 << 13
-	maxPooledRowSlots  = 1 << 13
-)
+// because a pooled scratch is live heap the GC budgets for. The pair
+// table bound is 2× its initial 4096 slots (~320 KB); the row bound is
+// in dense slots over all rows (~270 KB); the intern bound is 2× its
+// initial slots (~8 KB, plus the group index); the memo bounds are in
+// entries (~460 KB) and in stored key ids (~128 KB).
+var retention = [...]struct {
+	name string
+	size func(*scratch) int
+	max  int
+}{
+	{"pair table slots", func(sc *scratch) int { return len(sc.pairs.keys) }, 1 << 13},
+	{"dense row slots", (*scratch).rowSlots, 1 << 13},
+	{"intern slots", func(sc *scratch) int { return len(sc.intern) }, 2 * internInitialSlots},
+	{"memo entries", func(sc *scratch) int { return cap(sc.memo.entries) }, 1 << 11},
+	{"memo key ids", func(sc *scratch) int { return cap(sc.memo.ids) }, 1 << 15},
+}
+
+// rowSlots is the number of dense slots over all of sc's rows.
+func (sc *scratch) rowSlots() int {
+	n := 0
+	for i := range sc.ext {
+		n += len(sc.ext[i].flags)
+	}
+	return n
+}
 
 // getScratch takes a scratch from scratchPool.
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// putScratch returns sc to scratchPool unless it outgrew the retention
-// bounds. The caller must not use sc afterwards; snapshots taken with
+// putScratch returns sc to scratchPool unless it outgrew a retention
+// bound. The caller must not use sc afterwards; snapshots taken with
 // it stay valid (they own their slices, and slabs are never reused).
 func putScratch(sc *scratch) {
-	if len(sc.pairs.keys) > maxPooledPairSlots {
-		return
+	for _, b := range retention {
+		if b.size(sc) > b.max {
+			return
+		}
 	}
-	rows := 0
-	for i := range sc.ext {
-		rows += len(sc.ext[i].flags)
-	}
-	if rows > maxPooledRowSlots {
-		return
-	}
-	// The descent states still point at the last solve's groups; drop
-	// them so a pooled scratch pins no slab chunk it is done with.
+	// The descent states and the intern index still point at the last
+	// solve's groups; drop them so a pooled scratch pins no slab chunk
+	// it is done with.
 	sc.desc, sc.first = state{}, state{}
+	clear(sc.groups)
+	sc.groups = sc.groups[:0]
 	scratchPool.Put(sc)
 }
 
 // reset prepares the scratch for a new candidate set. Map, table and
-// row storage is retained (only marked empty), group ids restart at
-// zero.
+// row storage is retained (only marked empty), the intern table
+// forgets every group, and group ids restart at zero.
 func (sc *scratch) reset() {
 	sc.pairs.reset()
 	clear(sc.quant)
 	for i := range sc.ext {
 		clear(sc.ext[i].flags)
 	}
-	sc.nextID = 0
+	sc.memo.reset()
+	clear(sc.groups)
+	sc.groups = sc.groups[:0]
+	clear(sc.intern)
 	sc.n = tally{}
 }
 
@@ -189,9 +274,10 @@ const (
 
 // pairKey packs one cached group combination into a single word:
 // kind tag in the top bits, the two 30-bit operand ids below. Groups
-// are immutable once built and ids are never reused within a candidate
-// set, so an entry can never go stale: applying a move retires the two
-// touched groups' ids, which simply makes their entries unreachable.
+// are immutable once built and an id never stands for another group
+// within a candidate set, so an entry can never go stale: applying a
+// move only drops the two touched groups from the state, and their
+// entries hit again if a later state holds them again.
 // The packing is injective (the guard keeps both operands under 30
 // bits — a candidate set would need a billion groups to overflow), and
 // every packed key is nonzero because the kind bits are always set,
@@ -234,11 +320,8 @@ func (t *pairTable) reset() {
 }
 
 // slot maps a key to its preferred slot index (len(keys) is a power of
-// two; the multiplier is the golden-ratio constant, spreading packed
-// keys whose entropy sits in the low bits).
-func (t *pairTable) slot(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15 >> 32) & uint64(len(t.keys)-1))
-}
+// two; hashSlot spreads packed keys whose entropy sits in the low bits).
+func (t *pairTable) slot(key uint64) int { return hashSlot(key, len(t.keys)) }
 
 func (t *pairTable) get(key uint64) (pairEntry, bool) {
 	for i := t.slot(key); ; i = (i + 1) & (len(t.keys) - 1) {

@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"prpart/internal/cover"
 	"prpart/internal/design"
 	"prpart/internal/obs"
+	"prpart/internal/resource"
 	"prpart/internal/synthetic"
 )
 
@@ -63,31 +65,95 @@ func sortedKeys(m map[string]int64) []string {
 	return keys
 }
 
+// wideDesign builds a design wider than the §V generator makes:
+// modules of modesPer modes each, every mode covered by a configuration
+// of active modules, then random configurations of active modules up
+// to configs in all. Its candidate sets carry far more parts than a §V
+// design's, so one set's search grows the scratch tables well past
+// what the §V corpus needs.
+func wideDesign(seed int64, modules, modesPer, active, configs int) *design.Design {
+	rng := rand.New(rand.NewSource(seed))
+	d := &design.Design{
+		Name:   fmt.Sprintf("wide-%d-%dx%d", seed, modules, modesPer),
+		Static: resource.New(90, 8, 0),
+	}
+	for mi := 0; mi < modules; mi++ {
+		m := &design.Module{Name: fmt.Sprintf("M%d", mi)}
+		for k := 1; k <= modesPer; k++ {
+			m.Modes = append(m.Modes, design.Mode{
+				Name:      fmt.Sprint(k),
+				Resources: resource.New(50+rng.Intn(1500), rng.Intn(12), rng.Intn(16)),
+			})
+		}
+		d.Modules = append(d.Modules, m)
+	}
+	seen := map[string]bool{}
+	// config activates module mi in mode k (mi < 0: none) plus random
+	// other modules up to active in all, and keeps it unless seen.
+	config := func(mi, k int) {
+		c := make([]int, modules)
+		n := 0
+		if mi >= 0 {
+			c[mi], n = k, 1
+		}
+		for n < active {
+			if o := rng.Intn(modules); c[o] == 0 {
+				c[o] = 1 + rng.Intn(modesPer)
+				n++
+			}
+		}
+		if key := fmt.Sprint(c); !seen[key] {
+			seen[key] = true
+			d.Configurations = append(d.Configurations, design.Configuration{Modes: c})
+		}
+	}
+	for mi := 0; mi < modules; mi++ {
+		for k := 1; k <= modesPer; k++ {
+			config(mi, k)
+		}
+	}
+	for len(d.Configurations) < configs {
+		config(-1, 0)
+	}
+	return d
+}
+
 // TestPooledScratchIdentity pins the scratch pool's contract: a solve on
-// a reused scratch — one whose pair table, dense rows, descent buffers
-// and slab tails were grown by a different design — returns exactly
-// what a solve on a fresh scratch returns, down to every partition.*
-// counter. The sequence runs a large design, then small ones, then the
-// large one again: small solves inherit an oversized table and longer
-// rows, the repeated large solve inherits the small ones' state. It
-// runs once on one explicitly reused scratch, and once through
-// SolveContext, whose scratches come from scratchPool, at Workers 1
-// and 2; there the sequence's tables straddle the pool's retention
-// bound, so some solves reuse a grown pooled scratch and others drop
-// theirs.
+// a reused scratch — one whose pair table, dense rows, intern table,
+// scan memo, descent buffers and slab tails were grown by a different
+// design — returns exactly what a solve on a fresh scratch returns,
+// down to every partition.* counter. The sequence runs a large design,
+// then smaller ones, then the large one again: smaller solves inherit
+// oversized tables, the repeated large solve inherits the smaller ones'
+// state. It runs once on one explicitly reused scratch, and once
+// through SolveContext, whose scratches come from scratchPool, at
+// Workers 1 and 2; there the sequence straddles every retention bound
+// of the pool, so some solves reuse a grown pooled scratch and others
+// drop theirs. The wide designs search two candidate sets: one set's
+// search already grows their tables to full size, and two keep both
+// workers busy at Workers 2.
 func TestPooledScratchIdentity(t *testing.T) {
-	large := synthetic.Generate(1, 41)[40]
-	small := []*design.Design{design.PaperExample(), design.VideoReceiver()}
-	small = append(small, synthetic.Generate(4, 3)...)
+	large := wideDesign(1, 14, 4, 5, 60)
+	wide := map[*design.Design]bool{large: true}
+	smaller := []*design.Design{design.PaperExample(), design.VideoReceiver(), synthetic.Generate(1, 41)[40]}
+	smaller = append(smaller, synthetic.Generate(4, 3)...)
+	for _, d := range []*design.Design{wideDesign(1, 7, 3, 3, 24), wideDesign(1, 10, 4, 5, 40)} {
+		wide[d] = true
+		smaller = append(smaller, d)
+	}
 	seq := []*design.Design{large}
-	seq = append(seq, small...)
+	seq = append(seq, smaller...)
 	seq = append(seq, large)
 
 	optsFor := func(d *design.Design, workers int, o *obs.Obs) Options {
-		return Options{Budget: Modular(d).TotalResources(), Workers: workers, Obs: o}
+		opts := Options{Budget: Modular(d).TotalResources(), Workers: workers, Obs: o}
+		if wide[d] {
+			opts.MaxCandidateSets = 2
+		}
+		return opts
 	}
 	fresh := make(map[*design.Design]string)
-	pooled, dropped := false, false
+	var within, past [len(retention)]bool
 	for _, d := range seq {
 		if _, ok := fresh[d]; ok {
 			continue
@@ -96,12 +162,16 @@ func TestPooledScratchIdentity(t *testing.T) {
 		sc := newScratch()
 		res, err := solveOn(d, optsFor(d, 1, o), sc)
 		fresh[d] = poolFingerprint(res, err, o)
-		n := len(sc.pairs.keys)
-		pooled = pooled || (n > 1<<12 && n <= maxPooledPairSlots)
-		dropped = dropped || n > maxPooledPairSlots
+		for i, b := range retention {
+			n := b.size(sc)
+			within[i] = within[i] || (n > b.max/2 && n <= b.max)
+			past[i] = past[i] || n > b.max
+		}
 	}
-	if !pooled || !dropped {
-		t.Fatalf("sequence must grow some pair tables within the pool's retention bound (%v) and some past it (%v)", pooled, dropped)
+	for i, b := range retention {
+		if !within[i] || !past[i] {
+			t.Fatalf("sequence must grow some %s within the pool's retention bound (%v) and some past it (%v)", b.name, within[i], past[i])
+		}
 	}
 
 	reused := newScratch()

@@ -197,45 +197,51 @@ func (s *searcher) referenceGreedy(st *state, allowStatic, allowTransfers bool, 
 	cur := st.clone()
 	for {
 		moves := s.appendAllMoves(nil, cur, allowStatic, allowTransfers)
-		if len(moves) == 0 {
-			return
-		}
-		curArea := cur.totalArea()
-		curViol := s.violation(curArea)
-		bestIdx := -1
-		var bestCost, bestViol, bestSaved int64
-		for i, mv := range moves {
-			d, area := s.moveDelta(cur, mv)
-			if curViol == 0 {
-				v := s.violation(area)
-				if v > 0 {
-					continue
-				}
-				if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
-					continue
-				}
-				saved := int64(curArea.Total() - area.Total())
-				if bestIdx < 0 || d < bestCost || (d == bestCost && saved > bestSaved) {
-					bestIdx, bestCost, bestSaved = i, d, saved
-				}
-			} else {
-				v := s.violation(area)
-				saved := curViol - v
-				if saved <= 0 {
-					continue
-				}
-				if bestIdx < 0 || d*bestSaved < bestCost*saved ||
-					(d*bestSaved == bestCost*saved && v < bestViol) {
-					bestIdx, bestCost, bestViol, bestSaved = i, d, v, saved
-				}
-			}
-		}
+		bestIdx := s.referenceSelect(cur, moves)
 		if bestIdx < 0 {
 			return
 		}
 		cur = s.referenceApply(cur, moves[bestIdx])
 		record(cur)
 	}
+}
+
+// referenceSelect returns the index of the move the greedy policy
+// applies from cur among moves (in appendAllMoves order), scored with
+// moveDelta: the first best in enumeration order, or -1 when every
+// move is rejected.
+func (s *searcher) referenceSelect(cur *state, moves []move) int {
+	curArea := cur.totalArea()
+	curViol := s.violation(curArea)
+	bestIdx := -1
+	var bestCost, bestViol, bestSaved int64
+	for i, mv := range moves {
+		d, area := s.moveDelta(cur, mv)
+		if curViol == 0 {
+			v := s.violation(area)
+			if v > 0 {
+				continue
+			}
+			if d > 0 || (d == 0 && area.Total() >= curArea.Total()) {
+				continue
+			}
+			saved := int64(curArea.Total() - area.Total())
+			if bestIdx < 0 || d < bestCost || (d == bestCost && saved > bestSaved) {
+				bestIdx, bestCost, bestSaved = i, d, saved
+			}
+		} else {
+			v := s.violation(area)
+			saved := curViol - v
+			if saved <= 0 {
+				continue
+			}
+			if bestIdx < 0 || d*bestSaved < bestCost*saved ||
+				(d*bestSaved == bestCost*saved && v < bestViol) {
+				bestIdx, bestCost, bestViol, bestSaved = i, d, v, saved
+			}
+		}
+	}
+	return bestIdx
 }
 
 // moveDelta predicts the cost and area effect of a move without building

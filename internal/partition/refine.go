@@ -148,15 +148,21 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 
 	m := connmat.New(d)
 	cs := &cover.CandidateSet{Parts: ws.Parts, Active: ws.Active}
-	s := newSearcher(d, m, cs, opts, newScratch())
+	s := newSearcher(d, m, cs, opts, getScratch())
 	// Shard large scan iterations over Options.Workers. The shard
 	// decomposition is Workers-independent, so any worker count —
 	// including the serial default — produces byte-identical schemes
 	// and identical obs counters; see scan.go.
 	s.scan.maxShards = refineShards
 	s.scan.workers = EffectiveRefineWorkers(opts.Workers)
-	defer s.scan.close()
-	defer s.flushCounts()
+	// The searcher's and the shards' scratches go back to scratchPool
+	// once their tallies are flushed.
+	defer func() {
+		s.flushCounts()
+		s.scan.close()
+		s.scan.release()
+		putScratch(s.sc)
+	}()
 
 	// Group-internal compatibility: since a group's mask is the union of
 	// its parts' masks, the group is internally compatible iff its mask
@@ -164,7 +170,7 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	// overlap double-counts a configuration).
 	st := &state{}
 	for gi, g := range ws.Groups {
-		grp := s.newGroup(append([]int(nil), g...)...)
+		grp := s.newGroup(g...)
 		if grp.mask.Count() != grp.active {
 			return nil, fmt.Errorf("partition: warm-start group %d is not internally compatible", gi)
 		}

@@ -9,8 +9,14 @@ import (
 
 // This file is the greedy descent's move scan: one pass over the legal
 // moves of the current state that evaluates every candidate against the
-// delta cache and keeps the best under the greedy policy. Its one
-// parameter is the shard count. The solve path scans every state as one
+// delta cache and keeps the best of each move class (merge, static
+// promotion, transfer) under the greedy policy, remembered per state in
+// the scan memo (scanMemo, below). The paper's search restarts its
+// descent once per distinct first move and descend runs every start
+// under four move vocabularies, so many scans meet a state the
+// candidate set already scanned; with hash-consed groups (newGroup)
+// such a state has the same group ids, and the scan evaluates only the
+// classes the memo lacks for it. Its one parameter is the shard count. The solve path scans every state as one
 // shard, inline on the searcher's own scratch — it already parallelises
 // over candidate sets. The refine path (RefineContext), where one level
 // of a multilevel solve can carry a thousand parts and the O(parts ×
@@ -39,10 +45,13 @@ import (
 //   - Deterministic fixed-order reduction. Every candidate carries an
 //     ordinal encoding its position in the enumeration order of the
 //     test enumerator appendAllMoves (reference_test.go); in-shard
-//     incumbent updates and the cross-shard reduction break exact
-//     score ties by that ordinal, so the selected move is the first
-//     best in enumeration order no matter how many shards there are or
-//     which worker saw the move.
+//     incumbent updates, the per-class cross-shard reduction and the
+//     combine over classes break exact score ties by that ordinal, so
+//     the selected move is the first best in enumeration order no
+//     matter how many shards there are, which worker saw the move or
+//     which classes the memo answered. betterCand with the ordinal is
+//     a strict total order, which is what makes the best of the class
+//     bests the best of all.
 
 const (
 	// refineShards is the shard count of a sharded refine scan. It is
@@ -101,12 +110,27 @@ func parWorthwhile(cur *state, allowTransfers bool) bool {
 
 // Ordinal move classes, matching the per-source order of the test
 // enumerator appendAllMoves (reference_test.go): merges first, then the
-// static promotion, then transfers.
+// static promotion, then transfers. They also index the per-class
+// incumbents of a scan and of the scan memo.
 const (
 	ordMerge uint64 = iota
 	ordStatic
 	ordTransfer
+	numClasses
 )
+
+// classesFor is the set of move classes (bit c for class c) a scan
+// under the given move vocabulary evaluates: merges always.
+func classesFor(allowStatic, allowTransfers bool) uint8 {
+	need := uint8(1) << ordMerge
+	if allowStatic {
+		need |= 1 << ordStatic
+	}
+	if allowTransfers {
+		need |= 1 << ordTransfer
+	}
+	return need
+}
 
 // moveOrd packs a candidate's position in the enumeration order into
 // one comparable word: source index i (high), class, part slot k,
@@ -122,11 +146,24 @@ func moveOrd(i int, class uint64, k, j int) uint64 {
 	return uint64(i)<<34 | class<<32 | uint64(k)<<20 | uint64(j)
 }
 
-// shardCand is a shard's incumbent best move plus its selection scores
-// and per-shard counter deltas.
+// ordMove decodes the move an ordinal stands for (moveOrd's inverse).
+func ordMove(ord uint64) move {
+	i, j := int(ord>>34), int(ord&(1<<20-1))
+	switch ord >> 32 & 3 {
+	case ordMerge:
+		return move{i: i, j: j, part: -1}
+	case ordStatic:
+		return move{i: i, j: -1, part: -1}
+	}
+	return move{i: i, j: j, part: int(ord >> 20 & (1<<12 - 1))}
+}
+
+// shardCand is the incumbent best move of one move class — in one
+// shard, or reduced over a scan's shards — as its ordinal (which
+// ordMove decodes), plus its selection scores and the class's counter
+// deltas. It holds no pointer, so the scan memo can store it.
 type shardCand struct {
 	ok    bool
-	mv    move
 	ord   uint64
 	d     int64 // cost delta
 	v     int64 // resulting violation (infeasible phase)
@@ -177,8 +214,8 @@ const (
 // extRow is the dense destination cache of one candidate part: per
 // slot, whether the part may join the destination group the slot
 // stands for and, if so, the cached extension entry. Groups are
-// immutable and their ids are never reused within a candidate set, so
-// a filled slot can never go stale — unlike a slot indexed by group
+// immutable and an id never stands for another group within a
+// candidate set, so a filled slot can never go stale — unlike a slot indexed by group
 // position, which applyMove's slice surgery would shift every
 // iteration. Rows turn the transfer scan's hottest lookup from a random
 // probe into the big shared hash table (a DRAM-latency round trip per
@@ -195,7 +232,8 @@ const (
 // any other), and the slots after them cover ids from the current
 // greedy run's first id on; run records which run filled them, and
 // they are cleared when another run begins. Ids in between — groups of
-// the module-grouped start or of a forced first move — bypass the row.
+// the module-grouped start, of a forced first move, or built by an
+// earlier run and handed out again by newGroup — bypass the row.
 type extRow struct {
 	flags []uint8     // per slot: extUnknown/extIncompatible/extCached
 	vals  []pairEntry // per slot, valid when flags is extCached
@@ -324,10 +362,10 @@ func (p *moveScan) transfers(sc *scratch, src *transferSource, visit func(j int,
 	return moves, rejects
 }
 
-// moveScan is the searcher's move scan. Shard scratches are created on
-// the first sharded scan, the worker pool on the first sharded scan
-// with more than one worker; a one-shard scan runs inline on the
-// searcher's own scratch.
+// moveScan is the searcher's move scan. Shard scratches are drawn from
+// scratchPool on the first sharded scan (release returns them), the
+// worker pool is started on the first sharded scan with more than one
+// worker; a one-shard scan runs inline on the searcher's own scratch.
 type moveScan struct {
 	s *searcher
 	// maxShards is the shard count of states worth splitting
@@ -336,7 +374,7 @@ type moveScan struct {
 	workers   int
 
 	scratches [refineShards]*scratch
-	cands     [refineShards]shardCand
+	cands     [refineShards][numClasses]shardCand
 
 	// nParts and runBase map group ids to dense-row slots (see extRow):
 	// runBase is the first id of the current greedy run, at least nParts.
@@ -345,14 +383,14 @@ type moveScan struct {
 	// Per-iteration inputs, written before shards are dispatched and
 	// read-only while they run. rowHint is the size new dense rows grow
 	// to: the slots the current run has used plus slack (the id counter
-	// only moves in applyMove, never during a scan).
-	shards         int
-	rowHint        int
-	cur            *state
-	allowStatic    bool
-	allowTransfers bool
-	curArea        resource.Vector
-	curViol        int64
+	// only moves in applyMove, never during a scan). need is the set of
+	// move classes the shards evaluate (see classesFor).
+	shards  int
+	rowHint int
+	cur     *state
+	need    uint8
+	curArea resource.Vector
+	curViol int64
 
 	jobs chan int
 	wg   sync.WaitGroup
@@ -367,10 +405,22 @@ func (p *moveScan) close() {
 	}
 }
 
+// release returns the shard scratches to scratchPool. Their tallies
+// must have been flushed (searcher.flushCounts) and no scan may run
+// afterwards.
+func (p *moveScan) release() {
+	for i, sc := range p.scratches {
+		if sc != nil {
+			putScratch(sc)
+			p.scratches[i] = nil
+		}
+	}
+}
+
 // beginRun marks the start of a greedy run: the groups it builds get
 // the dense rows' upper slots.
 func (p *moveScan) beginRun() {
-	p.runBase = max(p.s.sc.nextID, p.nParts)
+	p.runBase = max(p.s.sc.nextID(), p.nParts)
 }
 
 // slot returns the dense-row slot standing for group id, or -1 when
@@ -404,76 +454,130 @@ func (p *moveScan) scratch(si int) *scratch {
 	return p.scratches[si]
 }
 
-// prepare sets the per-iteration inputs of a scan of cur.
+// prepare sets the per-iteration inputs of a scan of cur that
+// evaluates every class of the move vocabulary.
 func (p *moveScan) prepare(cur *state, shards int, allowStatic, allowTransfers bool) {
 	if shards > 1 && p.scratches[0] == nil {
 		for i := range p.scratches {
-			p.scratches[i] = newScratch()
+			sc := getScratch()
+			sc.reset()
+			p.scratches[i] = sc
 		}
 	}
 	p.shards = shards
-	used := int(max(p.s.sc.nextID, p.runBase) - p.runBase)
+	used := int(max(p.s.sc.nextID(), p.runBase) - p.runBase)
 	p.rowHint = int(p.nParts) + used + used/4
 	p.cur = cur
-	p.allowStatic, p.allowTransfers = allowStatic, allowTransfers
+	p.need = classesFor(allowStatic, allowTransfers)
 	p.curArea = cur.area
 	p.curViol = p.s.violation(cur.area)
 }
 
-// scan selects the best legal move from cur under the greedy policy,
-// splitting the candidate space into the given number of shards and
-// reducing the shard incumbents in fixed shard order. It returns the
-// move with the scratch whose delta cache evaluated it, so applyMove
-// hits; ok=false means no applicable move remains.
+// scan selects the best legal move from cur under the greedy policy.
+// The move classes the vocabulary allows are looked up in the scan
+// memo first; only the classes it lacks for cur are evaluated, by
+// splitting that candidate space into the given number of shards and
+// reducing each class's shard incumbents in fixed shard order. The
+// winner over the classes is then picked with betterCand. It returns
+// the move with the scratch whose delta cache evaluated it, so
+// applyMove hits; ok=false means no applicable move remains.
 func (p *moveScan) scan(cur *state, shards int, allowStatic, allowTransfers bool) (move, *scratch, bool) {
-	p.prepare(cur, shards, allowStatic, allowTransfers)
-	if shards == 1 || p.workers <= 1 {
-		for si := 0; si < shards; si++ {
-			p.runShard(si)
-		}
-	} else {
-		if p.jobs == nil {
-			p.jobs = make(chan int, refineShards)
-			for w := 0; w < p.workers; w++ {
-				go func() {
-					for si := range p.jobs {
-						p.runShard(si)
-						p.wg.Done()
-					}
-				}()
-			}
-		}
-		p.wg.Add(shards)
-		for si := 0; si < shards; si++ {
-			p.jobs <- si
-		}
-		p.wg.Wait()
+	s := p.s
+	want := classesFor(allowStatic, allowTransfers)
+	memo := &s.sc.memo
+	ei := memo.lookup(cur)
+	if miss := want &^ memo.entries[ei].have; miss != 0 {
+		p.prepare(cur, shards, allowStatic, allowTransfers)
+		p.need = miss
+		p.runShards()
+		p.reduce(&memo.entries[ei])
 	}
 
+	e := &memo.entries[ei]
+	feasible := e.viol == 0
 	var nMoves, nRejects int64
 	win := -1
-	feasible := p.curViol == 0
-	for si := 0; si < shards; si++ {
-		c := &p.cands[si]
-		nMoves += c.moves
-		nRejects += c.rejects
-		if !c.ok {
+	for c := range e.cls {
+		if want&(1<<c) == 0 {
 			continue
 		}
-		if win < 0 || betterCand(c.d, c.saved, c.v, c.ord, &p.cands[win], feasible) {
-			win = si
+		x := &e.cls[c]
+		nMoves += x.moves
+		nRejects += x.rejects
+		if x.ok && (win < 0 || betterCand(x.d, x.saved, x.v, x.ord, &e.cls[win], feasible)) {
+			win = c
 		}
 	}
-	p.s.cMoves.Add(nMoves)
-	p.s.cRejects.Add(nRejects)
+	s.cMoves.Add(nMoves)
+	s.cRejects.Add(nRejects)
 	if win < 0 {
 		return move{}, nil, false
 	}
-	return p.cands[win].mv, p.scratch(win), true
+	sc := s.sc
+	if si := e.shard[win]; si >= 0 {
+		sc = p.scratches[si]
+	}
+	return ordMove(e.cls[win].ord), sc, true
+}
+
+// runShards runs every shard of the prepared scan, inline or on the
+// worker pool.
+func (p *moveScan) runShards() {
+	if p.shards == 1 || p.workers <= 1 {
+		for si := 0; si < p.shards; si++ {
+			p.runShard(si)
+		}
+		return
+	}
+	if p.jobs == nil {
+		p.jobs = make(chan int, refineShards)
+		for w := 0; w < p.workers; w++ {
+			go func() {
+				for si := range p.jobs {
+					p.runShard(si)
+					p.wg.Done()
+				}
+			}()
+		}
+	}
+	p.wg.Add(p.shards)
+	for si := 0; si < p.shards; si++ {
+		p.jobs <- si
+	}
+	p.wg.Wait()
+}
+
+// reduce folds the shard incumbents of every class the prepared scan
+// evaluated into memo entry e, in fixed shard order, recording which
+// scratch evaluated each class winner (-1: the searcher's own).
+func (p *moveScan) reduce(e *memoEntry) {
+	feasible := p.curViol == 0
+	for c := range e.cls {
+		if p.need&(1<<c) == 0 {
+			continue
+		}
+		var best shardCand
+		shard := int8(-1)
+		for si := 0; si < p.shards; si++ {
+			x := &p.cands[si][c]
+			best.moves += x.moves
+			best.rejects += x.rejects
+			if x.ok && (!best.ok || betterCand(x.d, x.saved, x.v, x.ord, &best, feasible)) {
+				best.ok, best.ord, best.d, best.v, best.saved = true, x.ord, x.d, x.v, x.saved
+				if p.shards > 1 {
+					shard = int8(si)
+				}
+			}
+		}
+		e.cls[c], e.shard[c] = best, shard
+	}
+	e.have |= p.need
+	e.viol = p.curViol
 }
 
 // runShard enumerates and evaluates shard si's slice of the candidate
-// space, keeping its best candidate in p.cands[si]. Ownership:
+// space of the classes in p.need, keeping each class's best candidate
+// in p.cands[si]. Ownership:
 // merge and static moves belong to the shard of their source group's
 // id (stable under unrelated moves — surviving groups keep their ids,
 // and the lower-indexed member of a surviving pair stays lower, since
@@ -490,13 +594,13 @@ func (p *moveScan) runShard(si int) {
 	cur := p.cur
 	curArea, curViol := p.curArea, p.curViol
 	feasible := curViol == 0
-	best := &p.cands[si]
-	*best = shardCand{}
+	cands := &p.cands[si]
+	*cands = [numClasses]shardCand{}
 
 	// accept applies the greedy selection policy to an evaluated legal
-	// move and updates the shard incumbent. The scores are compared
+	// move and updates its class incumbent. The scores are compared
 	// before anything is written, so a losing candidate costs no copy.
-	accept := func(mv move, ord uint64, d int64, area resource.Vector, v int64) {
+	accept := func(best *shardCand, ord uint64, d int64, area resource.Vector, v int64) {
 		var saved int64
 		if feasible {
 			// Accept strict cost improvements, or cost-neutral area
@@ -512,37 +616,43 @@ func (p *moveScan) runShard(si int) {
 		if best.ok && !betterCand(d, saved, v, ord, best, feasible) {
 			return
 		}
-		best.ok, best.mv, best.ord = true, mv, ord
+		best.ok, best.ord = true, ord
 		best.d, best.v, best.saved = d, v, saved
 	}
 
-	consider := func(mv move, ord uint64) {
+	consider := func(best *shardCand, mv move, ord uint64) {
 		best.moves++
 		d, area, v, ok := s.evalMove(sc, cur, mv, curArea, curViol)
 		if !ok {
 			best.rejects++
 			return
 		}
-		accept(mv, ord, d, area, v)
+		accept(best, ord, d, area, v)
 	}
 
 	groups := cur.groups
-	for i := 0; i < len(groups); i++ {
-		if int(groups[i].id)%n != si {
-			continue
-		}
-		for j := i + 1; j < len(groups); j++ {
-			if s.groupsCompatible(groups[i], groups[j]) {
-				consider(move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+	merges, statics := p.need&(1<<ordMerge) != 0, p.need&(1<<ordStatic) != 0
+	if merges || statics {
+		for i := 0; i < len(groups); i++ {
+			if int(groups[i].id)%n != si {
+				continue
+			}
+			if merges {
+				for j := i + 1; j < len(groups); j++ {
+					if s.groupsCompatible(groups[i], groups[j]) {
+						consider(&cands[ordMerge], move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+					}
+				}
+			}
+			if statics {
+				consider(&cands[ordStatic], move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
 			}
 		}
-		if p.allowStatic {
-			consider(move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
-		}
 	}
-	if !p.allowTransfers {
+	if p.need&(1<<ordTransfer) == 0 {
 		return
 	}
+	best := &cands[ordTransfer]
 	for i := 0; i < len(groups); i++ {
 		// Moving the sole part of a group equals a merge, so only
 		// groups with two or more parts are sources.
@@ -556,10 +666,104 @@ func (p *moveScan) runShard(si int) {
 			}
 			src := p.source(sc, i, k)
 			moves, rejects := p.transfers(sc, &src, func(j int, d int64, area resource.Vector, v int64) {
-				accept(move{i: i, j: j, part: k}, moveOrd(i, ordTransfer, k, j), d, area, v)
+				accept(best, moveOrd(i, ordTransfer, k, j), d, area, v)
 			})
 			best.moves += moves
 			best.rejects += rejects
 		}
+	}
+}
+
+// scanMemo remembers, per candidate set, the per-class results of the
+// move scans run so far, keyed by the scanned state: its ordered
+// group-id sequence, guarded by its running area. Hash-consed groups
+// (newGroup) give a state reached again — by another vocabulary's
+// descent from the same start, or another restart converging on it —
+// the same id sequence, so its scan is answered here instead of being
+// re-evaluated. A class result is exact for the state: the legal
+// moves, their scores and their ordinals are pure functions of the
+// ordered groups and the area (the static list is every part no group
+// holds). The memo holds no pointer, so the garbage collector never
+// scans it: entries in one slice, key ids in another, and an
+// open-addressed slot table of entry index + 1 (0 = empty).
+type scanMemo struct {
+	slots   []int32
+	entries []memoEntry
+	ids     []uint32
+}
+
+// memoEntry is one scanned state: its key (hash, area, and ids[off :
+// off+n]) and, per class in have, the class's reduced incumbent and
+// the scratch that evaluated it (shard index, -1 = the searcher's
+// own), plus the state's budget violation.
+type memoEntry struct {
+	hash   uint64
+	off, n uint32
+	area   resource.Vector
+	viol   int64
+	have   uint8
+	shard  [numClasses]int8
+	cls    [numClasses]shardCand
+}
+
+// memoInitialSlots is the memo slot table's first size; it doubles at
+// 2/3 load.
+const memoInitialSlots = 1 << 10
+
+func (m *scanMemo) reset() {
+	clear(m.slots)
+	m.entries = m.entries[:0]
+	m.ids = m.ids[:0]
+}
+
+// lookup returns the index of cur's entry, adding an empty one (have
+// == 0) when cur has not been scanned in this candidate set.
+func (m *scanMemo) lookup(cur *state) int {
+	if 3*len(m.entries) >= 2*len(m.slots) {
+		m.grow()
+	}
+	h := uint64(len(cur.groups))
+	for _, g := range cur.groups {
+		h = hashMix(h, g.id)
+	}
+	for i := hashSlot(h, len(m.slots)); ; i = (i + 1) & (len(m.slots) - 1) {
+		x := m.slots[i]
+		if x == 0 {
+			off := len(m.ids)
+			for _, g := range cur.groups {
+				m.ids = append(m.ids, uint32(g.id))
+			}
+			m.entries = append(m.entries, memoEntry{hash: h, off: uint32(off), n: uint32(len(cur.groups)), area: cur.area})
+			m.slots[i] = int32(len(m.entries))
+			return len(m.entries) - 1
+		}
+		if e := &m.entries[x-1]; e.hash == h && e.area == cur.area && m.keyIs(e, cur.groups) {
+			return int(x - 1)
+		}
+	}
+}
+
+// keyIs reports whether e's key is exactly the ids of groups, in order.
+func (m *scanMemo) keyIs(e *memoEntry, groups []*group) bool {
+	if int(e.n) != len(groups) {
+		return false
+	}
+	for i, id := range m.ids[e.off : e.off+e.n] {
+		if uint64(id) != groups[i].id {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *scanMemo) grow() {
+	n := max(2*len(m.slots), memoInitialSlots)
+	m.slots = make([]int32, n)
+	for x := range m.entries {
+		i := hashSlot(m.entries[x].hash, n)
+		for m.slots[i] != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		m.slots[i] = int32(x + 1)
 	}
 }

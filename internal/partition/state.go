@@ -13,9 +13,10 @@ import (
 // regions, plus parts promoted to static logic.
 //
 // Groups are immutable once constructed (see newGroup): every move
-// builds replacement groups and only edits the state's group slice.
-// That invariant is what lets copies share group pointers, snapshots
-// survive later in-place moves, and the delta cache in delta.go key
+// takes its replacement groups from newGroup and only edits the state's
+// group slice. That invariant is what lets copies share group pointers,
+// snapshots survive later in-place moves, newGroup hand one group to
+// every state that holds its parts, and the delta cache in delta.go key
 // entries by group id without ever invalidating them.
 type state struct {
 	groups    []*group
@@ -92,14 +93,30 @@ func (s *searcher) searchFrames(res resource.Vector) int64 {
 	return int64(device.Frames(res)) * frameScale
 }
 
-// newGroup builds an immutable group holding the given parts, which it
-// takes ownership of. The id is a per-candidate-set sequence number
-// used as a delta-cache key. The group struct is carved from the
-// searcher scratch's slab (see scratch.group).
+// newGroup returns the immutable group holding exactly the given
+// parts, in the given order. Groups are hash-consed per candidate set:
+// when the set's searches already built a group with this ordered part
+// list, newGroup returns that group, id included, so a state reached
+// again by another descent is made of the very groups it was made of
+// before, and the delta cache and the scan memo recognise it. This is
+// exact because every group field is a pure function of the ordered
+// parts; order is part of the key because in-group order feeds the
+// transfer ordinals, applyMove's part lists and Region.Parts. On a
+// miss the group and a copy of parts are carved from the scratch's
+// slabs (see scratch.group), so callers may pass a reused buffer; the
+// id is the next per-candidate-set sequence number, used as a
+// delta-cache key.
 func (s *searcher) newGroup(parts ...int) *group {
-	g := s.sc.group()
-	g.parts, g.id = parts, s.sc.nextID
-	s.sc.nextID++
+	sc := s.sc
+	slot := sc.internFind(parts)
+	if id := sc.intern[slot]; id != 0 {
+		return sc.groups[id-1]
+	}
+	g := sc.group()
+	g.parts, g.id = sc.partList(len(parts)), sc.nextID()
+	copy(g.parts, parts)
+	sc.groups = append(sc.groups, g)
+	sc.intern[slot] = uint32(len(sc.groups))
 	for _, pi := range parts {
 		g.res = g.res.Max(s.partRes[pi])
 		g.raw = g.raw.Add(s.partRes[pi])
@@ -194,9 +211,7 @@ func (s *searcher) initial() *state {
 			st.staticRes = st.staticRes.Add(s.partRes[pi])
 			continue
 		}
-		p := s.sc.partList(1)
-		p[0] = pi
-		st.groups = append(st.groups, s.newGroup(p...))
+		st.groups = append(st.groups, s.newGroup(pi))
 	}
 	st.cost = st.totalCost()
 	st.area = st.totalArea()
@@ -224,8 +239,9 @@ type move struct {
 //
 // sc must be the scratch whose delta cache evaluated mv (the shard
 // scratch of a sharded refine scan, s.sc otherwise) so the entry
-// lookups below always hit. New part lists are sized once and carved
-// from s.sc's slab; path steps reference the operands' immutable part
+// lookups below always hit. The new groups' part lists are assembled
+// in s.sc's reused parts buffer (newGroup copies them only on an
+// intern miss); path steps reference the operands' immutable part
 // lists instead of copying them.
 func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	if mv.part >= 0 && mv.j >= 0 {
@@ -234,22 +250,22 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 		pi := gi.parts[k]
 		dst := s.extendEntry(sc, gj, pi)
 		src := s.shrinkEntry(sc, gi, k)
-		rest := s.sc.partList(len(gi.parts) - 1)
-		copy(rest, gi.parts[:k])
-		copy(rest[k:], gi.parts[k+1:])
 		st.path = append(st.path, pathStep{a: gi.parts[k : k+1 : k+1], b: gj.parts})
-		joined := s.sc.partList(len(gj.parts) + 1)
-		copy(joined, gj.parts)
-		joined[len(gj.parts)] = pi
-		merged := s.newGroup(joined...)
+		s.sc.parts = append(append(s.sc.parts[:0], gj.parts...), pi)
+		merged := s.newGroup(s.sc.parts...)
+		var rest *group
+		if len(gi.parts) > 1 {
+			s.sc.parts = append(append(s.sc.parts[:0], gi.parts[:k]...), gi.parts[k+1:]...)
+			rest = s.newGroup(s.sc.parts...)
+		}
 		hi, lo := mv.i, mv.j
 		if hi < lo {
 			hi, lo = lo, hi
 		}
 		st.groups = append(st.groups[:hi], st.groups[hi+1:]...)
 		st.groups = append(st.groups[:lo], st.groups[lo+1:]...)
-		if len(rest) > 0 {
-			st.groups = append(st.groups, s.newGroup(rest...))
+		if rest != nil {
+			st.groups = append(st.groups, rest)
 		}
 		st.groups = append(st.groups, merged)
 		st.cost += dst.contrib + src.contrib - gi.contrib - gj.contrib
@@ -269,10 +285,8 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 	gi, gj := st.groups[mv.i], st.groups[mv.j]
 	e := s.mergeEntry(sc, gi, gj)
 	st.path = append(st.path, pathStep{a: gi.parts, b: gj.parts})
-	joined := s.sc.partList(len(gi.parts) + len(gj.parts))
-	copy(joined, gi.parts)
-	copy(joined[len(gi.parts):], gj.parts)
-	merged := s.newGroup(joined...)
+	s.sc.parts = append(append(s.sc.parts[:0], gi.parts...), gj.parts...)
+	merged := s.newGroup(s.sc.parts...)
 	hi, lo := mv.i, mv.j
 	if hi < lo {
 		hi, lo = lo, hi
