@@ -101,30 +101,12 @@ rows:
 	return n
 }
 
-// minEdgeWeight returns the smallest pairwise edge weight within a set of
-// two or more modes: the paper's frequency weight for multi-mode base
-// partitions. For singletons it returns the node weight.
-func minEdgeWeight(m *Matrix, set []design.ModeRef) int {
-	if len(set) == 1 {
-		return m.NodeWeight(set[0])
-	}
-	minW := -1
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if w := m.EdgeWeight(set[i], set[j]); minW < 0 || w < minW {
-				minW = w
-			}
-		}
-	}
-	return max(minW, 0)
-}
-
 func TestSetSupportAndMinEdge(t *testing.T) {
 	m := New(design.PaperExample())
 	// {A3,B2,C3}: min edge weight is 1 (A3-C3), as in Fig. 5(b).
 	set := []design.ModeRef{ref(0, 3), ref(1, 2), ref(2, 3)}
-	if got := minEdgeWeight(m, set); got != 1 {
-		t.Errorf("minEdgeWeight({A3,B2,C3}) = %d, want 1", got)
+	if got := m.EdgeWeight(ref(0, 3), ref(2, 3)); got != 1 {
+		t.Errorf("EdgeWeight(A3,C3) = %d, want 1", got)
 	}
 	if got := support(m, set); got != 1 {
 		t.Errorf("support({A3,B2,C3}) = %d, want 1", got)
@@ -134,12 +116,12 @@ func TestSetSupportAndMinEdge(t *testing.T) {
 	if got := support(m, tri); got != 0 {
 		t.Errorf("support({A1,B2,C1}) = %d, want 0", got)
 	}
-	if got := minEdgeWeight(m, tri); got != 1 {
-		t.Errorf("minEdgeWeight({A1,B2,C1}) = %d, want 1", got)
-	}
-	// Singleton falls back to node weight.
-	if got := minEdgeWeight(m, []design.ModeRef{ref(1, 2)}); got != 4 {
-		t.Errorf("minEdgeWeight({B2}) = %d, want 4", got)
+	for i, a := range tri {
+		for _, b := range tri[i+1:] {
+			if m.EdgeWeight(a, b) == 0 {
+				t.Errorf("EdgeWeight(%v,%v) = 0: {A1,B2,C1} should be a clique", a, b)
+			}
+		}
 	}
 	// Unused mode has zero support.
 	if got := support(m, []design.ModeRef{{Module: 0, Mode: 99}}); got != 0 {
@@ -232,10 +214,10 @@ func TestWeightBoundsProperty(t *testing.T) {
 				return false
 			}
 			if a == b || b == c || a == c {
-				return true // minEdgeWeight is defined on sets, not multisets
+				return true // set support is defined on sets, not multisets
 			}
-			set := []design.ModeRef{a, b, c}
-			return support(m, set) <= minEdgeWeight(m, set)
+			s := support(m, []design.ModeRef{a, b, c})
+			return s <= m.EdgeWeight(a, b) && s <= m.EdgeWeight(b, c) && s <= m.EdgeWeight(a, c)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", d.Name, err)

@@ -108,9 +108,6 @@ func FuzzMatrix(f *testing.F) {
 				if s := support(m, []design.ModeRef{a, b}); s != ab {
 					t.Fatalf("support pair = %d, EdgeWeight = %d", s, ab)
 				}
-				if mw := minEdgeWeight(m, []design.ModeRef{a, b}); mw != ab {
-					t.Fatalf("minEdgeWeight pair = %d, EdgeWeight = %d", mw, ab)
-				}
 			}
 		}
 

@@ -66,7 +66,7 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 		wantMoves, wantR int64
 	}
 	scanned := map[[2]int]*slotScan{}
-	s.scan.prepare(st, 1, true, true)
+	s.scan.prepare(st, 1, classesFor(true, true))
 	for _, mv := range s.appendAllMoves(nil, st, true, true) {
 		wantD, wantArea := s.moveDelta(st, mv)
 		wantV := s.violation(wantArea)

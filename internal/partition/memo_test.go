@@ -87,9 +87,8 @@ func freshState(fs *searcher, cur *state) *state {
 // starts under each move vocabulary, scanning as greedy does. At every
 // visited state the memo's class results must equal a full all-class
 // scan of the state on a fresh searcher, as one shard — so on a
-// sharded state this also pins the per-class cross-shard reduction,
-// which a repeat scan of the same state on the same searcher no longer
-// reaches, since the memo answers it; the moves_evaluated and
+// sharded state this also pins the per-class cross-shard reduction
+// against the one-shard scan; the moves_evaluated and
 // moves_rejected the memo'd scan adds must equal that fresh scan's
 // tallies of the vocabulary's classes; and the move it selects must be
 // the one the test oracle selects (referenceSelect, the first best in

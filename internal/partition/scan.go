@@ -455,8 +455,8 @@ func (p *moveScan) scratch(si int) *scratch {
 }
 
 // prepare sets the per-iteration inputs of a scan of cur that
-// evaluates every class of the move vocabulary.
-func (p *moveScan) prepare(cur *state, shards int, allowStatic, allowTransfers bool) {
+// evaluates the move classes in need (see classesFor).
+func (p *moveScan) prepare(cur *state, shards int, need uint8) {
 	if shards > 1 && p.scratches[0] == nil {
 		for i := range p.scratches {
 			sc := getScratch()
@@ -468,7 +468,7 @@ func (p *moveScan) prepare(cur *state, shards int, allowStatic, allowTransfers b
 	used := int(max(p.s.sc.nextID(), p.runBase) - p.runBase)
 	p.rowHint = int(p.nParts) + used + used/4
 	p.cur = cur
-	p.need = classesFor(allowStatic, allowTransfers)
+	p.need = need
 	p.curArea = cur.area
 	p.curViol = p.s.violation(cur.area)
 }
@@ -487,8 +487,7 @@ func (p *moveScan) scan(cur *state, shards int, allowStatic, allowTransfers bool
 	memo := &s.sc.memo
 	ei := memo.lookup(cur)
 	if miss := want &^ memo.entries[ei].have; miss != 0 {
-		p.prepare(cur, shards, allowStatic, allowTransfers)
-		p.need = miss
+		p.prepare(cur, shards, miss)
 		p.runShards()
 		p.reduce(&memo.entries[ei])
 	}

@@ -22,8 +22,11 @@ func scanTally(s *searcher, cur *state, shards int, allowStatic, allowTransfers 
 // checkShardInvariant walks the greedy descents greedy itself runs from
 // st — every move vocabulary — and on each visited state scans as one
 // shard and as refineShards shards: both must pick the same move with
-// the same tallies. The one-shard winner is applied, as on the solve
-// path.
+// the same tallies. The scan memo is emptied before each of the two
+// scans, so both evaluate every class of the vocabulary and the
+// sharded one runs the per-class cross-shard reduction (otherwise the
+// memo would answer the second scan from the first). The one-shard
+// winner is applied, as on the solve path.
 func checkShardInvariant(t *testing.T, label string, s *searcher, st *state) {
 	t.Helper()
 	for _, withStatic := range []bool{false, true} {
@@ -31,7 +34,9 @@ func checkShardInvariant(t *testing.T, label string, s *searcher, st *state) {
 			cur := st.clone()
 			s.scan.beginRun()
 			for step := 0; ; step++ {
+				s.sc.memo.reset()
 				mv1, sc1, ok1, m1, r1 := scanTally(s, cur, 1, withStatic, withTransfers)
+				s.sc.memo.reset()
 				mvN, _, okN, mN, rN := scanTally(s, cur, refineShards, withStatic, withTransfers)
 				if ok1 != okN || mv1 != mvN || m1 != mN || r1 != rN {
 					t.Fatalf("%s static=%v transfers=%v step %d: 1 shard picks %+v (ok=%v moves=%d rejects=%d), %d shards pick %+v (ok=%v moves=%d rejects=%d)",
