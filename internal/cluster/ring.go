@@ -126,16 +126,6 @@ func (r *Ring) Owners(key string, n int) []string {
 	return owners
 }
 
-// Owns reports whether member is among the n owners of key.
-func (r *Ring) Owns(key, member string, n int) bool {
-	for _, o := range r.Owners(key, n) {
-		if o == member {
-			return true
-		}
-	}
-	return false
-}
-
 // stringHash maps s to a ring position: FNV-1a folded with the seed
 // through a splitmix64 finalizer, so different seeds yield unrelated
 // placements and equal inputs always agree across processes.

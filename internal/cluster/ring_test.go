@@ -140,3 +140,13 @@ func TestRingRejectsBadMembers(t *testing.T) {
 		t.Fatal("empty member name accepted")
 	}
 }
+
+// Owns reports whether member is among the n owners of key.
+func (r *Ring) Owns(key, member string, n int) bool {
+	for _, o := range r.Owners(key, n) {
+		if o == member {
+			return true
+		}
+	}
+	return false
+}

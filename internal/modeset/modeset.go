@@ -53,9 +53,6 @@ func dedupe(refs []design.ModeRef) []design.ModeRef {
 // Len returns the number of modes in the set.
 func (s Set) Len() int { return len(s.refs) }
 
-// IsEmpty reports whether the set has no modes.
-func (s Set) IsEmpty() bool { return len(s.refs) == 0 }
-
 // Refs returns the modes in canonical order, as a fresh copy the caller
 // may keep or modify. To read the modes without copying, use Len and At.
 func (s Set) Refs() []design.ModeRef {

@@ -155,3 +155,6 @@ func TestSubsetIffUnionEqual(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// IsEmpty reports whether the set has no modes.
+func (s Set) IsEmpty() bool { return len(s.refs) == 0 }

@@ -61,6 +61,7 @@ type scratch struct {
 	pairs  pairTable
 	quant  map[resource.Vector]quantEntry
 	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
+	epoch  uint32   // tag of the row slots filled for the current candidate set
 	memo   scanMemo // per-state class results of the move scan (see scan.go)
 	n      tally
 
@@ -184,6 +185,7 @@ func (sc *scratch) growIntern() {
 func newScratch() *scratch {
 	sc := &scratch{
 		quant: make(map[resource.Vector]quantEntry),
+		epoch: 1,
 	}
 	sc.pairs.init()
 	return sc
@@ -202,16 +204,18 @@ var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 // not make every later small solve clear its oversized caches — and
 // because a pooled scratch is live heap the GC budgets for. The pair
 // table bound is 2× its initial 4096 slots (~320 KB); the row bound is
-// in dense slots over all rows (~270 KB); the intern bound is 2× its
-// initial slots (~8 KB, plus the group index); the memo bounds are in
-// entries (~460 KB) and in stored key ids (~128 KB).
+// in slots over all rows (24 bytes each, ~390 KB), 2.5× the largest a
+// §V sweep scratch reaches (6,671 over a 463-design sweep), so sweep
+// scratches always go back; the intern bound is 2× its initial slots
+// (~8 KB, plus the group index); the memo bounds are in entries
+// (~460 KB) and in stored key ids (~128 KB).
 var retention = [...]struct {
 	name string
 	size func(*scratch) int
 	max  int
 }{
 	{"pair table slots", func(sc *scratch) int { return len(sc.pairs.keys) }, 1 << 13},
-	{"dense row slots", (*scratch).rowSlots, 1 << 13},
+	{"dense row slots", (*scratch).rowSlots, 1 << 14},
 	{"intern slots", func(sc *scratch) int { return len(sc.intern) }, 2 * internInitialSlots},
 	{"memo entries", func(sc *scratch) int { return cap(sc.memo.entries) }, 1 << 11},
 	{"memo key ids", func(sc *scratch) int { return cap(sc.memo.ids) }, 1 << 15},
@@ -221,7 +225,7 @@ var retention = [...]struct {
 func (sc *scratch) rowSlots() int {
 	n := 0
 	for i := range sc.ext {
-		n += len(sc.ext[i].flags)
+		n += len(sc.ext[i].slots)
 	}
 	return n
 }
@@ -248,13 +252,17 @@ func putScratch(sc *scratch) {
 }
 
 // reset prepares the scratch for a new candidate set. Map, table and
-// row storage is retained (only marked empty), the intern table
-// forgets every group, and group ids restart at zero.
+// row storage is retained (only marked empty: the rows by a new epoch),
+// the intern table forgets every group, and group ids restart at zero.
 func (sc *scratch) reset() {
 	sc.pairs.reset()
 	clear(sc.quant)
-	for i := range sc.ext {
-		clear(sc.ext[i].flags)
+	if sc.epoch++; sc.epoch == 0 {
+		// The epoch wrapped: a slot tag could match again.
+		for i := range sc.ext {
+			clear(sc.ext[i].slots)
+		}
+		sc.epoch = 1
 	}
 	sc.memo.reset()
 	clear(sc.groups)
@@ -268,7 +276,6 @@ func (sc *scratch) reset() {
 // tag can never collide with an id.
 const (
 	kindMerge  uint64 = 1 << 60 // a: lower group id, b: higher group id
-	kindExtend uint64 = 2 << 60 // a: group id, b: part index added
 	kindShrink uint64 = 3 << 60 // a: group id, b: part index removed
 )
 
@@ -429,15 +436,11 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 	return e
 }
 
-// extendEntry returns the contribution and area of group gj extended by
-// candidate part pi — the destination side of a transfer move.
+// extendEntry computes the contribution and area of group gj extended
+// by candidate part pi — the destination side of a transfer move. It
+// is cached in the part's dense row (moveScan.dest), not in the pair
+// table.
 func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
-	key := pairKey(kindExtend, gj.id, uint64(pi))
-	if e, ok := sc.pairs.get(key); ok {
-		sc.n.deltaHit++
-		return e
-	}
-	sc.n.deltaMiss++
 	res := gj.res.Max(s.partRes[pi])
 	area, frames := s.quantize(sc, res)
 	var contrib int64
@@ -456,9 +459,7 @@ func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 		sq := gj.sumSq + n*n
 		contrib = frames * (sum*sum - sq) / 2
 	}
-	e := pairEntry{contrib: contrib, area: area}
-	sc.pairs.put(key, e)
-	return e
+	return pairEntry{contrib: contrib, area: area}
 }
 
 // shrinkEntry returns the contribution and area of group gi with the
@@ -516,32 +517,24 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 
 // evalMove is the incremental counterpart of the oracle's moveDelta
 // (reference_test.go) for merge and static-promotion moves (transfers
-// go through the scan's dense rows, see moveScan.transfers): it
-// produces a candidate move's exact cost delta, resulting total area
-// and budget violation from the delta cache and the state's running
-// aggregates, and applies the area-based rejection rule the greedy
-// policy uses (while feasible a move must stay feasible; while
-// infeasible it must shrink the violation). ok=false reports such a
-// rejection.
-func (s *searcher) evalMove(sc *scratch, st *state, mv move, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
-	if mv.j < 0 {
-		g := st.groups[mv.i]
-		newArea = curArea.Sub(g.area).Add(g.raw)
-		v, rej := s.areaViolation(newArea, curViol)
-		if rej {
-			return 0, resource.Vector{}, 0, false
-		}
-		return -g.contrib, newArea, v, true
+// go through the scan's dense rows, see moveScan.transfers): merging gi
+// with gj, or promoting gi to static logic when gj is nil. It produces
+// the candidate's exact cost delta, resulting total area and budget
+// violation from the delta cache and the state's running aggregates,
+// and applies the area-based rejection rule the greedy policy uses
+// (while feasible a move must stay feasible; while infeasible it must
+// shrink the violation). ok=false reports such a rejection.
+func (s *searcher) evalMove(sc *scratch, gi, gj *group, curArea resource.Vector, curViol int64) (dCost int64, newArea resource.Vector, v int64, ok bool) {
+	if gj == nil {
+		newArea = curArea.Sub(gi.area).Add(gi.raw)
+		dCost = -gi.contrib
+	} else {
+		e := s.mergeEntry(sc, gi, gj)
+		newArea = curArea.Sub(gi.area).Sub(gj.area).Add(e.area)
+		dCost = e.contrib - gi.contrib - gj.contrib
 	}
-	gi, gj := st.groups[mv.i], st.groups[mv.j]
-	e := s.mergeEntry(sc, gi, gj)
-	newArea = curArea.Sub(gi.area).Sub(gj.area).Add(e.area)
 	v, rej := s.areaViolation(newArea, curViol)
-	if rej {
-		return 0, resource.Vector{}, 0, false
-	}
-	dCost = e.contrib - gi.contrib - gj.contrib
-	return dCost, newArea, v, true
+	return dCost, newArea, v, !rej
 }
 
 // areaViolation returns the budget violation of area together with the

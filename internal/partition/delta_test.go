@@ -75,8 +75,7 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 			ss := scanned[key]
 			if ss == nil {
 				ss = &slotScan{survivors: map[int]eval{}}
-				src := s.scan.source(s.sc, mv.i, mv.part)
-				ss.moves, ss.rejects = s.scan.transfers(s.sc, &src, func(j int, d int64, area resource.Vector, v int64) {
+				ss.moves, ss.rejects = s.scan.transfers(s.sc, mv.i, mv.part, func(j int, d int64, area resource.Vector, v int64) {
 					ss.survivors[j] = eval{d, area, v}
 				})
 				scanned[key] = ss
@@ -100,7 +99,11 @@ func checkStateAgainstOracle(t *testing.T, label string, s *searcher, st *state,
 			}
 			continue
 		}
-		gotD, gotArea, gotV, ok := s.evalMove(s.sc, st, mv, st.area, curViol)
+		var gj *group
+		if mv.j >= 0 {
+			gj = st.groups[mv.j]
+		}
+		gotD, gotArea, gotV, ok := s.evalMove(s.sc, st.groups[mv.i], gj, st.area, curViol)
 		if !ok {
 			// The cache may only reject moves the greedy policy's
 			// area rule would reject on the oracle's numbers too.

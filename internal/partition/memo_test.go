@@ -79,7 +79,6 @@ func freshState(fs *searcher, cur *state) *state {
 		st.groups = append(st.groups, fs.newGroup(g.parts...))
 	}
 	st.cost, st.area = st.totalCost(), st.totalArea()
-	fs.scan.beginRun()
 	return st
 }
 
@@ -107,7 +106,6 @@ func checkMemoAgainstFresh(t *testing.T, c memoCase, starts []*state) (answered 
 			for _, withTransfers := range []bool{false, true} {
 				want := classesFor(withStatic, withTransfers)
 				cur := st.clone()
-				s.scan.beginRun()
 				for step := 0; ; step++ {
 					shards := s.scan.shardsFor(cur, withTransfers)
 					n0 := len(s.sc.memo.entries)

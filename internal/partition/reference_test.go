@@ -304,3 +304,10 @@ func (s *searcher) moveDelta(st *state, mv move) (dCost int64, newArea resource.
 	newArea = area.Sub(gi.area).Sub(gj.area).Add(mergedArea)
 	return dCost, newArea
 }
+
+// partCompatible reports whether candidate part p may join group g,
+// from the compatibility table directly (the scan reads its flat mask
+// array instead).
+func (s *searcher) partCompatible(p int, g *group) bool {
+	return !s.tab.Mask(p).Intersects(g.mask)
+}

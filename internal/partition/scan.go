@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -16,10 +17,11 @@ import (
 // under four move vocabularies, so many scans meet a state the
 // candidate set already scanned; with hash-consed groups (newGroup)
 // such a state has the same group ids, and the scan evaluates only the
-// classes the memo lacks for it. Its one parameter is the shard count. The solve path scans every state as one
-// shard, inline on the searcher's own scratch — it already parallelises
-// over candidate sets. The refine path (RefineContext), where one level
-// of a multilevel solve can carry a thousand parts and the O(parts ×
+// classes the memo lacks for it. Its one parameter is the shard count.
+// The solve path scans every state as one shard, inline on the
+// searcher's own scratch — it already parallelises over candidate
+// sets. The refine path (RefineContext), where one level of a
+// multilevel solve can carry a thousand parts and the O(parts ×
 // groups) transfer scan dominates the whole solve, splits large states
 // into refineShards shards that a worker pool executes. Candidate moves
 // are independent reads of the immutable current state; only the
@@ -52,6 +54,17 @@ import (
 //     which classes the memo answered. betterCand with the ordinal is
 //     a strict total order, which is what makes the best of the class
 //     bests the best of all.
+//
+// Most scans run in the infeasible phase on a handful of groups, so the
+// scan's cost is the cost of each candidate, and the kernel keeps that
+// small. prepare copies the groups' mask words into one flat array, so
+// a merge or transfer compatibility test — which most pairs fail — is
+// an AND of words read in sequence, not a walk through each group's
+// mask slice. A transfer's destination side comes from the moved part's
+// dense row, indexed by the destination's raw group id (extRow); only
+// a first read computes it. While the state is infeasible each legal
+// transfer computes its violation once, on the exact area. A one-shard
+// scan owns every move, so it tests no shard ownership.
 
 const (
 	// refineShards is the shard count of a sharded refine scan. It is
@@ -203,161 +216,149 @@ func betterCand(d, saved, v int64, ord uint64, b *shardCand, feasible bool) bool
 	return ord < b.ord
 }
 
-// Dense row slot states. extUnknown must be zero so freshly grown (and
-// reset) rows start unknown.
-const (
-	extUnknown uint8 = iota
-	extIncompatible
-	extCached
-)
-
-// extRow is the dense destination cache of one candidate part: per
-// slot, whether the part may join the destination group the slot
-// stands for and, if so, the cached extension entry. Groups are
+// extRow is the destination cache of one candidate part: slot id holds
+// the extension entry of the group with that id by the part (see
+// extendEntry), filled the first time a scan reads it. Groups are
 // immutable and an id never stands for another group within a
-// candidate set, so a filled slot can never go stale — unlike a slot indexed by group
-// position, which applyMove's slice surgery would shift every
-// iteration. Rows turn the transfer scan's hottest lookup from a random
-// probe into the big shared hash table (a DRAM-latency round trip per
-// candidate) into a read of a compact per-part array that the hardware
-// prefetcher streams, because surviving groups keep both their ids and
-// their relative order.
+// candidate set, so a filled slot can never go stale — unlike a slot
+// indexed by group position, which applyMove's slice surgery would
+// shift every iteration. The rows are the only home of extension
+// entries: the transfer scan reads them for every compatible
+// destination, and applyMove reads the winner's back from the row of
+// the scratch that evaluated it.
 //
-// Slots stand for group ids through moveScan.slot. Most ids of a
-// candidate set belong to groups no live state holds any more — the
-// solve path restarts its descent dozens of times per set — so a row
-// indexed by raw id would be sized by every group ever built. Instead
-// the first nParts slots cover ids below nParts, the start groups
-// (initial and a warm start build at most one group per part, before
-// any other), and the slots after them cover ids from the current
-// greedy run's first id on; run records which run filled them, and
-// they are cleared when another run begins. Ids in between — groups of
-// the module-grouped start, of a forced first move, or built by an
-// earlier run and handed out again by newGroup — bypass the row.
+// Rows are indexed by the raw id. A candidate set builds few groups —
+// on the §V sweep corpus a median of 29 ids per set, 291 at most, and
+// at most 719 per level of BenchmarkMultilevelHuge — so a row grows to
+// the largest id a scan of it reads (plus a quarter of slack, so a
+// descent regrows it rarely) and no further.
 type extRow struct {
-	flags []uint8     // per slot: extUnknown/extIncompatible/extCached
-	vals  []pairEntry // per slot, valid when flags is extCached
-	run   uint64      // runBase the slots above nParts were filled under
+	slots []extSlot
 }
 
-// grow extends the row with unknown slots so slot is addressable. hint
-// is the caller's expected slot high-water (plus slack): sizing new
-// rows to it up front means a row is normally allocated once and
-// regrown only after many further applied moves, instead of paying the
-// doubling ladder from zero.
-func (r *extRow) grow(slot, hint int) {
-	n := slot + 1
-	if n < hint {
-		n = hint
-	}
-	if n < 2*len(r.flags) {
-		n = 2 * len(r.flags)
-	}
-	flags := make([]uint8, n)
-	copy(flags, r.flags)
-	vals := make([]pairEntry, n)
-	copy(vals, r.vals)
-	r.flags, r.vals = flags, vals
+// extSlot is one compact extension entry: the contribution, the area
+// in 32-bit components, and the scratch epoch it was filled in. A tag
+// other than the scratch's current epoch means unknown, so reset
+// empties every row at once by advancing the epoch, with no clearing.
+// An entry whose area does not fit 32 bits is never stored; its slot
+// stays unknown and every read recomputes it.
+type extSlot struct {
+	contrib        int64
+	clb, bram, dsp int32
+	tag            uint32
 }
 
-// transferSource is the source side shared by every transfer out of
-// one part slot: the source group's index and slot, the moved part and
-// its dense row, and the shrunken source group's entry — the same
-// whatever the destination, so it is looked up at most once, on the
-// first destination that passes the area bound.
-type transferSource struct {
-	i, k       int
-	pi         int
-	row        *extRow
-	shrink     pairEntry
-	haveShrink bool
+// grow extends the row with unknown slots to n slots.
+func (r *extRow) grow(n int) {
+	slots := make([]extSlot, n)
+	copy(slots, r.slots)
+	r.slots = slots
 }
 
-// source prepares the transfers out of part slot k of group i: the
-// moved part's dense row in sc, with its upper slots cleared if an
-// earlier greedy run filled them.
-func (p *moveScan) source(sc *scratch, i, k int) transferSource {
-	pi := p.cur.groups[i].parts[k]
-	if n := pi/p.shards + 1; n > len(sc.ext) {
-		sc.ext = append(sc.ext, make([]extRow, n-len(sc.ext))...)
+// row returns the dense row of part pi in sc. A shard scratch holds the
+// rows of the parts its shard owns, at pi / shards; the searcher's own
+// scratch holds every part's row at pi.
+func (p *moveScan) row(sc *scratch, pi int) *extRow {
+	if sc != p.s.sc {
+		pi /= p.maxShards
 	}
-	row := &sc.ext[pi/p.shards]
-	if row.run != p.runBase {
-		if len(row.flags) > int(p.nParts) {
-			clear(row.flags[p.nParts:])
+	if pi >= len(sc.ext) {
+		sc.ext = append(sc.ext, make([]extRow, pi+1-len(sc.ext))...)
+	}
+	return &sc.ext[pi]
+}
+
+// dest returns the extension of group gj by part pi — the destination
+// side of a transfer — from the part's row in sc, computing and
+// storing it the first time. The caller has checked that pi may join
+// gj.
+func (p *moveScan) dest(sc *scratch, row *extRow, gj *group, pi int) pairEntry {
+	id := int(gj.id)
+	if id >= len(row.slots) {
+		row.grow(max(id+1, p.rowLen))
+	}
+	sl := &row.slots[id]
+	if sl.tag == sc.epoch {
+		sc.n.deltaHit++
+		return pairEntry{contrib: sl.contrib, area: resource.Vector{CLB: int(sl.clb), BRAM: int(sl.bram), DSP: int(sl.dsp)}}
+	}
+	sc.n.deltaMiss++
+	e := p.s.extendEntry(sc, gj, pi)
+	if a := e.area; a.CLB <= math.MaxInt32 && a.BRAM <= math.MaxInt32 && a.DSP <= math.MaxInt32 {
+		*sl = extSlot{contrib: e.contrib, clb: int32(a.CLB), bram: int32(a.BRAM), dsp: int32(a.DSP), tag: sc.epoch}
+	}
+	return e
+}
+
+// disjoint reports whether two masks of equal length share no
+// configuration: two groups may merge, and a part may join a group,
+// exactly when their masks are disjoint.
+func disjoint(a, b []uint64) bool {
+	b = b[:len(a)]
+	for i := range a {
+		if a[i]&b[i] != 0 {
+			return false
 		}
-		row.run = p.runBase
 	}
-	return transferSource{i: i, k: k, pi: pi, row: row}
+	return true
 }
 
-// transfers evaluates every transfer of src's part into another group
-// of the current state, in destination order. It returns how many were
-// legal and how many of those the greedy area rule rejected (while
-// feasible a move must stay feasible; while infeasible it must shrink
-// the violation), and hands each survivor to visit with its exact cost
-// delta, resulting total area and budget violation. The destination
-// side comes from the part's dense row; only an unknown slot, or an id
-// the row does not cover, probes compatibility and the delta cache.
-// Rejection can often be decided from the destination alone — the
-// source group's area is non-negative and violation is monotone in
-// area, so a lower bound that already fails proves the exact area fails
-// too, and the source side is never looked up.
-func (p *moveScan) transfers(sc *scratch, src *transferSource, visit func(j int, d int64, area resource.Vector, v int64)) (moves, rejects int64) {
+// transfers evaluates every transfer of part slot k of group i into
+// another group of the current state, in destination order. It returns
+// how many were legal and how many of those the greedy area rule
+// rejected (while feasible a move must stay feasible; while infeasible
+// it must shrink the violation), and hands each survivor to visit with
+// its exact cost delta, resulting total area and budget violation.
+// Compatibility is read from the scan's flat mask array, the
+// destination side from the moved part's dense row in sc. The source
+// side — the shrunken source group's entry — is the same whatever the
+// destination, so it is looked up at most once, on the first
+// destination that may still be accepted. While the state is feasible,
+// rejection can often be decided from the destination alone: the
+// source group's area is non-negative and fitting is monotone in area,
+// so a lower bound that already fails proves the exact area fails too,
+// and the source side is never looked up. While infeasible, the exact
+// violation is needed for every survivor anyway, so each transfer
+// computes it once.
+func (p *moveScan) transfers(sc *scratch, i, k int, visit func(j int, d int64, area resource.Vector, v int64)) (moves, rejects int64) {
 	s := p.s
 	groups := p.cur.groups
-	gi := groups[src.i]
-	row := src.row
-	for j, gj := range groups {
-		if j == src.i {
-			continue
-		}
-		slot := p.slot(gj.id)
-		flag := extUnknown // an uncovered id acts as an unknown slot never filled
-		if slot >= 0 {
-			if slot >= len(row.flags) {
-				row.grow(slot, p.rowHint)
-			}
-			flag = row.flags[slot]
-		}
-		var dst pairEntry
-		switch flag {
-		case extIncompatible:
-			continue
-		case extCached:
-			// The scratch's hash cache necessarily holds this entry (the
-			// slot was filled from it), so the dense read stands in for
-			// a hash hit.
-			sc.n.deltaHit++
-			dst = row.vals[slot]
-		default:
-			if !s.partCompatible(src.pi, gj) {
-				if slot >= 0 {
-					row.flags[slot] = extIncompatible
-				}
+	gi := groups[i]
+	pi := gi.parts[k]
+	mask, row := s.tab.Mask(pi), p.row(sc, pi)
+	w, m0 := p.words, mask[0]
+	feasible := p.curViol == 0
+	var shrink pairEntry
+	haveShrink := false
+	for j := range groups {
+		if w == 1 {
+			if m0&p.masks[j] != 0 {
 				continue
 			}
-			dst = s.extendEntry(sc, gj, src.pi)
-			if slot >= 0 {
-				row.vals[slot], row.flags[slot] = dst, extCached
-			}
+		} else if !disjoint(mask, p.masks[j*w:j*w+w]) {
+			continue
 		}
+		if j == i {
+			continue
+		}
+		gj := groups[j]
+		dst := p.dest(sc, row, gj, pi)
 		moves++
-		lower := p.curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
-		if _, rej := s.areaViolation(lower, p.curViol); rej {
+		area := p.curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
+		if feasible && !s.feasible(area) {
 			rejects++
 			continue
 		}
-		if !src.haveShrink {
-			src.shrink, src.haveShrink = s.shrinkEntry(sc, gi, src.k), true
+		if !haveShrink {
+			shrink, haveShrink = s.shrinkEntry(sc, gi, k), true
 		}
-		newArea := lower.Add(src.shrink.area)
-		v, rej := s.areaViolation(newArea, p.curViol)
+		area = area.Add(shrink.area)
+		v, rej := s.areaViolation(area, p.curViol)
 		if rej {
 			rejects++
 			continue
 		}
-		visit(j, dst.contrib+src.shrink.contrib-gi.contrib-gj.contrib, newArea, v)
+		visit(j, dst.contrib+shrink.contrib-gi.contrib-gj.contrib, area, v)
 	}
 	return moves, rejects
 }
@@ -376,18 +377,18 @@ type moveScan struct {
 	scratches [refineShards]*scratch
 	cands     [refineShards][numClasses]shardCand
 
-	// nParts and runBase map group ids to dense-row slots (see extRow):
-	// runBase is the first id of the current greedy run, at least nParts.
-	nParts, runBase uint64
-
 	// Per-iteration inputs, written before shards are dispatched and
-	// read-only while they run. rowHint is the size new dense rows grow
-	// to: the slots the current run has used plus slack (the id counter
-	// only moves in applyMove, never during a scan). need is the set of
-	// move classes the shards evaluate (see classesFor).
+	// read-only while they run. masks holds the current groups' mask
+	// words back to back, words per group, so a compatibility test
+	// reads one flat array instead of each group's mask through its
+	// slice header. rowLen is the size a dense row grows to: the
+	// largest group id of the state plus a quarter of slack. need is
+	// the set of move classes the shards evaluate (see classesFor).
 	shards  int
-	rowHint int
 	cur     *state
+	masks   []uint64
+	words   int
+	rowLen  int
 	need    uint8
 	curArea resource.Vector
 	curViol int64
@@ -415,24 +416,6 @@ func (p *moveScan) release() {
 			p.scratches[i] = nil
 		}
 	}
-}
-
-// beginRun marks the start of a greedy run: the groups it builds get
-// the dense rows' upper slots.
-func (p *moveScan) beginRun() {
-	p.runBase = max(p.s.sc.nextID(), p.nParts)
-}
-
-// slot returns the dense-row slot standing for group id, or -1 when
-// the rows do not cover it.
-func (p *moveScan) slot(id uint64) int {
-	switch {
-	case id < p.nParts:
-		return int(id)
-	case id >= p.runBase:
-		return int(p.nParts + id - p.runBase)
-	}
-	return -1
 }
 
 // shardsFor returns the shard count cur's scan runs with — a function
@@ -465,9 +448,27 @@ func (p *moveScan) prepare(cur *state, shards int, need uint8) {
 		}
 	}
 	p.shards = shards
-	used := int(max(p.s.sc.nextID(), p.runBase) - p.runBase)
-	p.rowHint = int(p.nParts) + used + used/4
 	p.cur = cur
+	w := 0
+	if len(cur.groups) > 0 {
+		w = len(cur.groups[0].mask)
+	}
+	p.words = w
+	if n := len(cur.groups) * w; cap(p.masks) < n {
+		p.masks = make([]uint64, n, 2*n)
+	} else {
+		p.masks = p.masks[:n]
+	}
+	var maxID uint64
+	for j, g := range cur.groups {
+		if w == 1 { // a one-word mask is backed by the group's maskWord
+			p.masks[j] = g.maskWord[0]
+		} else {
+			copy(p.masks[j*w:j*w+w], g.mask)
+		}
+		maxID = max(maxID, g.id)
+	}
+	p.rowLen = int(maxID+1) + int(maxID+1)/4
 	p.need = need
 	p.curArea = cur.area
 	p.curViol = p.s.violation(cur.area)
@@ -585,7 +586,8 @@ func (p *moveScan) reduce(e *memoEntry) {
 // definition). Both assignments put every repeated evaluation of the
 // same cache key in the same shard, so per-shard caches re-hit across
 // iterations exactly like one shared cache. A shard's dense rows are
-// those of the parts it owns, kept in its scratch at pi / shards.
+// those of the parts it owns, kept in its scratch at pi / shards. A
+// one-shard scan owns everything and tests no ownership.
 func (p *moveScan) runShard(si int) {
 	s := p.s
 	sc := p.scratch(si)
@@ -619,9 +621,9 @@ func (p *moveScan) runShard(si int) {
 		best.d, best.v, best.saved = d, v, saved
 	}
 
-	consider := func(best *shardCand, mv move, ord uint64) {
+	consider := func(best *shardCand, gi, gj *group, ord uint64) {
 		best.moves++
-		d, area, v, ok := s.evalMove(sc, cur, mv, curArea, curViol)
+		d, area, v, ok := s.evalMove(sc, gi, gj, curArea, curViol)
 		if !ok {
 			best.rejects++
 			return
@@ -630,21 +632,28 @@ func (p *moveScan) runShard(si int) {
 	}
 
 	groups := cur.groups
+	w := p.words
 	merges, statics := p.need&(1<<ordMerge) != 0, p.need&(1<<ordStatic) != 0
 	if merges || statics {
-		for i := 0; i < len(groups); i++ {
-			if int(groups[i].id)%n != si {
+		for i, gi := range groups {
+			if n > 1 && int(gi.id)%n != si {
 				continue
 			}
 			if merges {
+				mi := p.masks[i*w : i*w+w]
 				for j := i + 1; j < len(groups); j++ {
-					if s.groupsCompatible(groups[i], groups[j]) {
-						consider(&cands[ordMerge], move{i: i, j: j, part: -1}, moveOrd(i, ordMerge, 0, j))
+					if w == 1 {
+						if mi[0]&p.masks[j] != 0 {
+							continue
+						}
+					} else if !disjoint(mi, p.masks[j*w:j*w+w]) {
+						continue
 					}
+					consider(&cands[ordMerge], gi, groups[j], moveOrd(i, ordMerge, 0, j))
 				}
 			}
 			if statics {
-				consider(&cands[ordStatic], move{i: i, j: -1, part: -1}, moveOrd(i, ordStatic, 0, 0))
+				consider(&cands[ordStatic], gi, nil, moveOrd(i, ordStatic, 0, 0))
 			}
 		}
 	}
@@ -660,11 +669,10 @@ func (p *moveScan) runShard(si int) {
 			continue
 		}
 		for k, pi := range gi.parts {
-			if pi%n != si {
+			if n > 1 && pi%n != si {
 				continue
 			}
-			src := p.source(sc, i, k)
-			moves, rejects := p.transfers(sc, &src, func(j int, d int64, area resource.Vector, v int64) {
+			moves, rejects := p.transfers(sc, i, k, func(j int, d int64, area resource.Vector, v int64) {
 				accept(best, moveOrd(i, ordTransfer, k, j), d, area, v)
 			})
 			best.moves += moves

@@ -492,8 +492,7 @@ func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, op
 		sets[i] = p.Set
 	}
 	s.tab = compat.NewTable(m, sets)
-	n := uint64(len(cs.Parts))
-	s.scan = moveScan{s: s, maxShards: 1, workers: 1, nParts: n, runBase: n}
+	s.scan = moveScan{s: s, maxShards: 1, workers: 1}
 	s.partRes = make([]resource.Vector, len(cs.Parts))
 	s.partAct = make([]int, len(cs.Parts))
 	for pi, p := range cs.Parts {

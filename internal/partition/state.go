@@ -153,11 +153,6 @@ func (s *searcher) groupsCompatible(ga, gb *group) bool {
 	return !ga.mask.Intersects(gb.mask)
 }
 
-// partCompatible reports whether candidate part p may join group g.
-func (s *searcher) partCompatible(p int, g *group) bool {
-	return !s.tab.Mask(p).Intersects(g.mask)
-}
-
 // activation maps each configuration to the active part of the group
 // (part index + 1; 0 = inactive). At most one part of a compatible group
 // is active per configuration.
@@ -237,9 +232,9 @@ type move struct {
 // enumeration and the scheme's stable region sort, so it is part of the
 // determinism contract.
 //
-// sc must be the scratch whose delta cache evaluated mv (the shard
-// scratch of a sharded refine scan, s.sc otherwise) so the entry
-// lookups below always hit. The new groups' part lists are assembled
+// sc must be the scratch whose delta cache and dense rows evaluated mv
+// (the shard scratch of a sharded refine scan, s.sc otherwise) so the
+// entry lookups below always hit. The new groups' part lists are assembled
 // in s.sc's reused parts buffer (newGroup copies them only on an
 // intern miss); path steps reference the operands' immutable part
 // lists instead of copying them.
@@ -248,7 +243,7 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 		gi, gj := st.groups[mv.i], st.groups[mv.j]
 		k := mv.part
 		pi := gi.parts[k]
-		dst := s.extendEntry(sc, gj, pi)
+		dst := s.scan.dest(sc, s.scan.row(sc, pi), gj, pi)
 		src := s.shrinkEntry(sc, gi, k)
 		st.path = append(st.path, pathStep{a: gi.parts[k : k+1 : k+1], b: gj.parts})
 		s.sc.parts = append(append(s.sc.parts[:0], gj.parts...), pi)
@@ -578,7 +573,6 @@ func (s *searcher) greedy(st *state, allowStatic, allowTransfers bool, record fu
 	defer func() { s.gDepth.Observe(int64(depth)) }()
 	cur := &s.sc.desc
 	st.copyTo(cur)
-	s.scan.beginRun()
 	for {
 		mv, sc, ok := s.scan.scan(cur, s.scan.shardsFor(cur, allowTransfers), allowStatic, allowTransfers)
 		if !ok {

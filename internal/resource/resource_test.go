@@ -183,3 +183,22 @@ func TestMaxFitsInSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// SumAll returns the element-wise sum of all vectors in vs.
+func SumAll(vs ...Vector) Vector {
+	var s Vector
+	for _, v := range vs {
+		s = s.Add(v)
+	}
+	return s
+}
+
+// MaxAll returns the element-wise maximum of all vectors in vs, or the zero
+// vector when vs is empty.
+func MaxAll(vs ...Vector) Vector {
+	var m Vector
+	for _, v := range vs {
+		m = m.Max(v)
+	}
+	return m
+}

@@ -188,9 +188,6 @@ func (s *Scheme) Validate() error {
 	return errors.Join(errs...)
 }
 
-// NumRegions returns the number of reconfigurable regions.
-func (s *Scheme) NumRegions() int { return len(s.Regions) }
-
 // String summarises the scheme.
 func (s *Scheme) String() string {
 	var b strings.Builder

@@ -196,3 +196,6 @@ func TestRegionTilesQuantised(t *testing.T) {
 		t.Errorf("Tiles after bump = %v", got)
 	}
 }
+
+// NumRegions returns the number of reconfigurable regions.
+func (s *Scheme) NumRegions() int { return len(s.Regions) }

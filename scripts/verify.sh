@@ -108,7 +108,7 @@ if [ "$1" = "all" ]; then
 	go test -run Multilevel -count=2 ./internal/multilevel/
 
 	echo "== tier 6: parallel-refinement identity under the race detector =="
-	go test -race -run 'ParallelIdentity|RefineWorkers|PooledScratch|ScanMemo|Interned' ./internal/multilevel/ ./internal/partition/
+	go test -race -run 'ParallelIdentity|RefineWorkers|PooledScratch|ScanMemo|Interned|TransferRows' ./internal/multilevel/ ./internal/partition/
 
 	echo "== tier 6: benchmark baseline gates (pr3 -> pr4 -> pr7 -> pr9) =="
 	go run ./scripts -tol 10 results/BENCH_pr3.json results/BENCH_pr4.json
