@@ -8,7 +8,6 @@ package design
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"prpart/internal/resource"
@@ -262,32 +261,6 @@ func (d *Design) Validate() error {
 		seenCfg[key] = true
 	}
 	return errors.Join(errs...)
-}
-
-// StaticSum returns the area of a fully static implementation: static
-// logic plus the sum of every mode of every module (all instantiated
-// concurrently behind mode-select multiplexers). The paper's "Static"
-// scheme in Table IV.
-func (d *Design) StaticSum() resource.Vector {
-	v := d.Static
-	for _, m := range d.Modules {
-		v = v.Add(m.Sum())
-	}
-	return v
-}
-
-// SortConfigurations orders configurations deterministically (by mode
-// index vectors) without changing semantics; useful for canonical output.
-func (d *Design) SortConfigurations() {
-	sort.SliceStable(d.Configurations, func(i, j int) bool {
-		a, b := d.Configurations[i].Modes, d.Configurations[j].Modes
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }
 
 // FindMode resolves a human-readable "Module.Mode" (or "Module/Mode")

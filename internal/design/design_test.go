@@ -1,6 +1,7 @@
 package design
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -200,4 +201,30 @@ func TestFindMode(t *testing.T) {
 			t.Errorf("FindMode(%q) accepted", bad)
 		}
 	}
+}
+
+// StaticSum returns the area of a fully static implementation: static
+// logic plus the sum of every mode of every module (all instantiated
+// concurrently behind mode-select multiplexers). The paper's "Static"
+// scheme in Table IV.
+func (d *Design) StaticSum() resource.Vector {
+	v := d.Static
+	for _, m := range d.Modules {
+		v = v.Add(m.Sum())
+	}
+	return v
+}
+
+// SortConfigurations orders configurations deterministically (by mode
+// index vectors) without changing semantics; useful for canonical output.
+func (d *Design) SortConfigurations() {
+	sort.SliceStable(d.Configurations, func(i, j int) bool {
+		a, b := d.Configurations[i].Modes, d.Configurations[j].Modes
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
 }

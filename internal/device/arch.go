@@ -62,20 +62,6 @@ func PrimitivesPerTile(k resource.Kind) int {
 	panic(fmt.Sprintf("device: invalid kind %d", int(k)))
 }
 
-// FramesPerTile returns the number of configuration frames spanned by one
-// tile of kind k. This is W_t in the paper's eq. (6).
-func FramesPerTile(k resource.Kind) int {
-	switch k {
-	case resource.CLB:
-		return FramesPerCLBTile
-	case resource.BRAM:
-		return FramesPerBRAMTile
-	case resource.DSP:
-		return FramesPerDSPTile
-	}
-	panic(fmt.Sprintf("device: invalid kind %d", int(k)))
-}
-
 // Tiles quantises a raw resource requirement into whole tiles per kind:
 // the paper's eqs. (3)-(5). Partial tiles are always rounded up, because
 // the vendor flow cannot share a tile between two reconfigurable regions
@@ -110,12 +96,6 @@ func FramesForTiles(tiles resource.Vector) int {
 // resource requirement after tile quantisation. It composes eqs. (3)-(6).
 func Frames(req resource.Vector) int {
 	return FramesForTiles(Tiles(req))
-}
-
-// FrameBytes returns the partial-bitstream payload size in bytes for a
-// given number of frames.
-func FrameBytes(frames int) int {
-	return frames * WordsPerFrame * 4
 }
 
 func ceilDiv(a, b int) int {

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -128,4 +129,24 @@ func TestFramesSubadditive(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FramesPerTile returns the number of configuration frames spanned by one
+// tile of kind k. This is W_t in the paper's eq. (6).
+func FramesPerTile(k resource.Kind) int {
+	switch k {
+	case resource.CLB:
+		return FramesPerCLBTile
+	case resource.BRAM:
+		return FramesPerBRAMTile
+	case resource.DSP:
+		return FramesPerDSPTile
+	}
+	panic(fmt.Sprintf("device: invalid kind %d", int(k)))
+}
+
+// FrameBytes returns the partial-bitstream payload size in bytes for a
+// given number of frames.
+func FrameBytes(frames int) int {
+	return frames * WordsPerFrame * 4
 }

@@ -27,15 +27,6 @@ type Device struct {
 	Columns []resource.Kind
 }
 
-// TileCapacity returns the device capacity expressed in whole tiles.
-func (d *Device) TileCapacity() resource.Vector {
-	return resource.Vector{
-		CLB:  d.Capacity.CLB / CLBsPerTile,
-		BRAM: d.Capacity.BRAM / BRAMsPerTile,
-		DSP:  d.Capacity.DSP / DSPsPerTile,
-	}
-}
-
 // Fits reports whether a raw requirement fits the device capacity after
 // tile quantisation.
 func (d *Device) Fits(req resource.Vector) bool {

@@ -128,3 +128,12 @@ func TestTileCapacity(t *testing.T) {
 		t.Errorf("TileCapacity wrong: %v for %v", tc, d.Capacity)
 	}
 }
+
+// TileCapacity returns the device capacity expressed in whole tiles.
+func (d *Device) TileCapacity() resource.Vector {
+	return resource.Vector{
+		CLB:  d.Capacity.CLB / CLBsPerTile,
+		BRAM: d.Capacity.BRAM / BRAMsPerTile,
+		DSP:  d.Capacity.DSP / DSPsPerTile,
+	}
+}

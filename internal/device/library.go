@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"prpart/internal/resource"
 )
 
 // jsonDevice is the on-disk device-library entry: the resource counts the
@@ -57,32 +55,4 @@ func LoadLibrary(r io.Reader) ([]*Device, error) {
 		return out[i].Name < out[j].Name
 	})
 	return out, nil
-}
-
-// WriteLibrary renders devices as a JSON library readable by LoadLibrary.
-func WriteLibrary(w io.Writer, devices []*Device) error {
-	entries := make([]jsonDevice, len(devices))
-	for i, d := range devices {
-		entries[i] = jsonDevice{
-			Name: d.Name,
-			CLB:  d.Capacity.CLB,
-			BRAM: d.Capacity.BRAM,
-			DSP:  d.Capacity.DSP,
-			Rows: d.Rows,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(entries)
-}
-
-// SmallestIn returns the first device in an ordered library that fits the
-// requirement — the custom-library counterpart of Smallest.
-func SmallestIn(library []*Device, req resource.Vector) (*Device, error) {
-	for _, d := range library {
-		if d.Fits(req) {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("device: requirement %v exceeds every library device", req)
 }

@@ -1,6 +1,9 @@
 package device
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -99,4 +102,32 @@ func TestLoadedLibraryGridRealisesCapacity(t *testing.T) {
 	if !d.Capacity.FitsIn(got) {
 		t.Errorf("grid provides %v, capacity %v", got, d.Capacity)
 	}
+}
+
+// WriteLibrary renders devices as a JSON library readable by LoadLibrary.
+func WriteLibrary(w io.Writer, devices []*Device) error {
+	entries := make([]jsonDevice, len(devices))
+	for i, d := range devices {
+		entries[i] = jsonDevice{
+			Name: d.Name,
+			CLB:  d.Capacity.CLB,
+			BRAM: d.Capacity.BRAM,
+			DSP:  d.Capacity.DSP,
+			Rows: d.Rows,
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(entries)
+}
+
+// SmallestIn returns the first device in an ordered library that fits the
+// requirement — the custom-library counterpart of Smallest.
+func SmallestIn(library []*Device, req resource.Vector) (*Device, error) {
+	for _, d := range library {
+		if d.Fits(req) {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("device: requirement %v exceeds every library device", req)
 }

@@ -12,7 +12,7 @@ import (
 // descent. The classic observation (Fiduccia & Mattheyses, DAC 1982) is
 // that a partitioning move only changes the score of the elements it
 // touches, so re-deriving every candidate's gain from scratch each
-// iteration wastes almost all of the work. Here that takes three forms:
+// iteration wastes almost all of the work. Here that takes two forms:
 //
 //   - a delta cache: the cost and quantised area of a merged (or
 //     extended, or shrunken) group depend only on the operand groups'
@@ -21,10 +21,11 @@ import (
 //     pairs involving the two touched groups miss. Groups are
 //     hash-consed per candidate set (newGroup), so an identity stands
 //     for content: a group another descent rebuilds gets its old id
-//     back, and its entries hit instead of being costed again.
-//   - a quantisation memo: device.Tiles / device.TilesToPrimitives /
-//     the frame count of a raw resource vector are pure functions, and
-//     the same part subsets are re-quantised thousands of times per run.
+//     back, and its entries hit instead of being costed again. Each
+//     entry kind has one home, the layout its key fits: merge entries,
+//     keyed by a sparse pair of group ids, in pairTable; extension and
+//     shrink entries, keyed by a part and a group id, in the part's
+//     dense row (extRow, scan.go).
 //   - running aggregates: each state carries its total cost and area,
 //     updated by applied moves, so per-candidate evaluation no longer
 //     walks every group.
@@ -46,23 +47,22 @@ type scoredMove struct {
 
 // scratch is the reusable working set of one search worker: move and
 // activation buffers, the descent's state buffers, the group intern
-// table, the delta cache, the quantisation memo, the move scan's dense
-// destination rows and per-state memo, and the slabs groups are carved
-// from. A scratch is reused across the candidate sets a worker
-// processes, and across solves through scratchPool (avoiding re-growth
-// of the maps and slices), but reset per set, so cache hit/miss
-// counters are a deterministic function of the input regardless of how
-// sets are distributed over workers or which scratch a solve draws.
+// table, the delta cache (the merge table and the dense part rows), the
+// move scan's per-state memo, and the slabs groups are carved from. A
+// scratch is reused across the candidate sets a worker processes, and
+// across solves through scratchPool (avoiding re-growth of its tables
+// and slices), but reset per set, so cache hit/miss counters are a
+// deterministic function of the input regardless of how sets are
+// distributed over workers or which scratch a solve draws.
 type scratch struct {
 	moves  []move
 	scored []scoredMove
 	act    []int32
-	parts  []int // applyMove's candidate part lists, copied by newGroup on an intern miss
-	pairs  pairTable
-	quant  map[resource.Vector]quantEntry
-	ext    []extRow // dense destination rows of the parts a scan shard owns (see scan.go)
-	epoch  uint32   // tag of the row slots filled for the current candidate set
-	memo   scanMemo // per-state class results of the move scan (see scan.go)
+	parts  []int     // applyMove's candidate part lists, copied by newGroup on an intern miss
+	pairs  pairTable // merge entries
+	ext    []extRow  // extension and shrink entries: the dense rows of the parts a scan shard owns (see scan.go)
+	epoch  uint32    // tag of the row slots filled for the current candidate set
+	memo   scanMemo  // per-state class results of the move scan (see scan.go)
 	n      tally
 
 	// groups[id] is the group with that id, and intern is the
@@ -118,13 +118,12 @@ func (sc *scratch) partList(n int) []int {
 	return p
 }
 
-// tally counts cache and memo outcomes in plain fields of the scratch
+// tally counts cache outcomes in plain fields of the scratch
 // that owns them, so the hot path does no atomic adds; a shard only
 // writes its own scratch. searcher.flushCounts adds the tallies to the
 // shared instruments once per searcher.
 type tally struct {
 	deltaHit, deltaMiss int64
-	quantHit, quantMiss int64
 	snapSkip            int64
 }
 
@@ -183,16 +182,13 @@ func (sc *scratch) growIntern() {
 }
 
 func newScratch() *scratch {
-	sc := &scratch{
-		quant: make(map[resource.Vector]quantEntry),
-		epoch: 1,
-	}
+	sc := &scratch{epoch: 1}
 	sc.pairs.init()
 	return sc
 }
 
 // scratchPool recycles solve scratches across solves, so a solve does
-// not pay for a fresh pair table, memo and dense rows. Reuse cannot
+// not pay for a fresh merge table, memo and dense rows. Reuse cannot
 // change a result: reset clears every cache per candidate set, and what
 // survives it (buffer capacity, slab tails) holds no values a search
 // reads.
@@ -202,10 +198,10 @@ var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 // any size past its bound is dropped, not pooled, because reset clears
 // every table, row and memo per candidate set — one large solve must
 // not make every later small solve clear its oversized caches — and
-// because a pooled scratch is live heap the GC budgets for. The pair
+// because a pooled scratch is live heap the GC budgets for. The merge
 // table bound is 2× its initial 4096 slots (~320 KB); the row bound is
-// in slots over all rows (24 bytes each, ~390 KB), 2.5× the largest a
-// §V sweep scratch reaches (6,671 over a 463-design sweep), so sweep
+// in slots over all rows (24 bytes each, ~390 KB), 2.2× the largest a
+// §V sweep scratch reaches (7,336 over a 463-design sweep), so sweep
 // scratches always go back; the intern bound is 2× its initial slots
 // (~8 KB, plus the group index); the memo bounds are in entries
 // (~460 KB) and in stored key ids (~128 KB).
@@ -251,12 +247,11 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// reset prepares the scratch for a new candidate set. Map, table and
-// row storage is retained (only marked empty: the rows by a new epoch),
+// reset prepares the scratch for a new candidate set. Table and row
+// storage is retained (only marked empty: the rows by a new epoch),
 // the intern table forgets every group, and group ids restart at zero.
 func (sc *scratch) reset() {
 	sc.pairs.reset()
-	clear(sc.quant)
 	if sc.epoch++; sc.epoch == 0 {
 		// The epoch wrapped: a slot tag could match again.
 		for i := range sc.ext {
@@ -271,44 +266,42 @@ func (sc *scratch) reset() {
 	sc.n = tally{}
 }
 
-// Delta-cache key kinds, stored in the top bits of pairKey.a. Group ids
-// are per-candidate-set sequence numbers (nowhere near 2^60), so the
-// tag can never collide with an id.
-const (
-	kindMerge  uint64 = 1 << 60 // a: lower group id, b: higher group id
-	kindShrink uint64 = 3 << 60 // a: group id, b: part index removed
-)
-
-// pairKey packs one cached group combination into a single word:
-// kind tag in the top bits, the two 30-bit operand ids below. Groups
-// are immutable once built and an id never stands for another group
-// within a candidate set, so an entry can never go stale: applying a
-// move only drops the two touched groups from the state, and their
-// entries hit again if a later state holds them again.
-// The packing is injective (the guard keeps both operands under 30
-// bits — a candidate set would need a billion groups to overflow), and
-// every packed key is nonzero because the kind bits are always set,
-// which is what lets pairTable use zero as its empty-slot sentinel.
-func pairKey(kind, a, b uint64) uint64 {
-	if a >= 1<<30 || b >= 1<<30 {
+// mergeKey packs the unordered id pair of two groups a merge combines
+// into a single word, the lower id in the high half. Groups are
+// immutable once built and an id never stands for another group within
+// a candidate set, so an entry can never go stale: applying a move only
+// drops the two touched groups from the state, and their entries hit
+// again if a later state holds them again. The packing is injective
+// (the guard keeps both ids under 32 bits — a candidate set would need
+// four billion groups to overflow), and every key is nonzero because
+// the two ids of a merge differ, so the higher is at least 1, which is
+// what lets pairTable use zero as its empty-slot sentinel.
+func mergeKey(a, b uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b >= 1<<32 {
 		panic("partition: delta-cache id overflow")
 	}
-	return kind | a<<30 | b
+	return a<<32 | b
 }
 
-// pairEntry caches the outcome of combining (or splitting) groups: the
-// would-be group's cost contribution and tile-quantised area.
+// pairEntry is a delta-cache entry: the cost contribution and
+// tile-quantised area of the group a merge, extension or shrink would
+// build.
 type pairEntry struct {
 	contrib int64
 	area    resource.Vector
 }
 
-// pairTable is an open-addressed hash table from packed pair keys to
-// pairEntry. It sits on the hottest probe path of the search — one
-// lookup per candidate move per descent iteration — where a
-// specialised flat table beats a Go map: single-word keys, Fibonacci
-// hashing, linear probing over a contiguous slot array, and a reset
-// that just clears the key words while keeping capacity.
+// pairTable is the merge table: an open-addressed hash table from
+// packed id pairs (mergeKey) to pairEntry. It sits on the merge scan's
+// probe path — one lookup per compatible pair per scanned state —
+// where a specialised flat table beats a Go map: single-word keys,
+// Fibonacci hashing, linear probing over a contiguous slot array, and
+// a reset that just clears the key words while keeping capacity. The
+// pairs a candidate set merges are a sparse subset of its ids squared,
+// which is why they are hashed rather than given dense rows.
 type pairTable struct {
 	keys    []uint64 // 0 = empty slot
 	entries []pairEntry
@@ -371,47 +364,23 @@ func (t *pairTable) grow() {
 	}
 }
 
-// quantEntry caches the tile quantisation of one raw resource vector.
-type quantEntry struct {
-	area   resource.Vector
-	frames int64
-}
-
 // quantize returns the tile-quantised capacity and search-frame cost of
-// a raw resource requirement, memoised per candidate set. Both are pure
-// functions of res (given the searcher's NoQuantize option), so the
-// memo can never change a result — only skip recomputing it. The memo
-// lives in the caller-supplied scratch: a one-shard scan passes the
-// searcher's own s.sc, a sharded refine scan passes its shard's
-// scratch (see scan.go), so no scratch is ever shared between
-// goroutines.
-func (s *searcher) quantize(sc *scratch, res resource.Vector) (area resource.Vector, frames int64) {
-	if e, ok := sc.quant[res]; ok {
-		sc.n.quantHit++
-		return e.area, e.frames
-	}
-	sc.n.quantMiss++
-	area = device.TilesToPrimitives(device.Tiles(res))
-	frames = s.searchFrames(res)
-	sc.quant[res] = quantEntry{area: area, frames: frames}
-	return area, frames
+// a raw resource requirement.
+func (s *searcher) quantize(res resource.Vector) (area resource.Vector, frames int64) {
+	return device.TilesToPrimitives(device.Tiles(res)), s.searchFrames(res)
 }
 
 // mergeEntry returns the contribution and area of the group that would
 // result from merging gi and gj, cached under the unordered id pair.
 func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
-	a, b := gi.id, gj.id
-	if a > b {
-		a, b = b, a
-	}
-	key := pairKey(kindMerge, a, b)
+	key := mergeKey(gi.id, gj.id)
 	if e, ok := sc.pairs.get(key); ok {
 		sc.n.deltaHit++
 		return e
 	}
 	sc.n.deltaMiss++
 	res := gi.res.Max(gj.res)
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(res)
 	var contrib int64
 	if s.weights != nil {
 		// Compatibility guarantees at most one side is active per
@@ -438,11 +407,10 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 
 // extendEntry computes the contribution and area of group gj extended
 // by candidate part pi — the destination side of a transfer move. It
-// is cached in the part's dense row (moveScan.dest), not in the pair
-// table.
+// is cached in slot gj.id of the part's dense row (moveScan.entry).
 func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 	res := gj.res.Max(s.partRes[pi])
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(res)
 	var contrib int64
 	if s.weights != nil {
 		act := append(sc.act[:0], gj.act...)
@@ -462,19 +430,13 @@ func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
 	return pairEntry{contrib: contrib, area: area}
 }
 
-// shrinkEntry returns the contribution and area of group gi with the
-// part at slot k removed — the source side of a transfer move. Removal
-// cannot be computed incrementally (max does not subtract), so a miss
-// walks the remaining parts; the cache makes that a one-time cost per
-// (group, part) combination.
+// shrinkEntry computes the contribution and area of group gi with the
+// part at slot k removed — the source side of a transfer move. It is
+// cached in slot gi.id of the removed part's dense row
+// (moveScan.entry). Removal cannot be computed incrementally (max does
+// not subtract), so it walks the remaining parts; the cache makes that
+// a one-time cost per (group, part) combination.
 func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
-	pi := gi.parts[k]
-	key := pairKey(kindShrink, gi.id, uint64(pi))
-	if e, ok := sc.pairs.get(key); ok {
-		sc.n.deltaHit++
-		return e
-	}
-	sc.n.deltaMiss++
 	var res resource.Vector
 	var active int
 	var sumSq int64
@@ -487,7 +449,7 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 		active += s.partAct[p]
 		sumSq += n * n
 	}
-	area, frames := s.quantize(sc, res)
+	area, frames := s.quantize(res)
 	var contrib int64
 	if s.weights != nil {
 		act := sc.act[:0]
@@ -510,9 +472,7 @@ func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
 		sum := int64(active)
 		contrib = frames * (sum*sum - sumSq) / 2
 	}
-	e := pairEntry{contrib: contrib, area: area}
-	sc.pairs.put(key, e)
-	return e
+	return pairEntry{contrib: contrib, area: area}
 }
 
 // evalMove is the incremental counterpart of the oracle's moveDelta

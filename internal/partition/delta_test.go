@@ -7,7 +7,6 @@ import (
 	"prpart/internal/connmat"
 	"prpart/internal/cover"
 	"prpart/internal/design"
-	"prpart/internal/device"
 	"prpart/internal/resource"
 	"prpart/internal/synthetic"
 )
@@ -195,36 +194,6 @@ func TestDeltaCacheMatchesMoveDeltaWeighted(t *testing.T) {
 				s.applyMove(s.sc, st, moves[(step*11+si*3+2)%len(moves)])
 			}
 		}
-	}
-}
-
-// TestQuantMemo checks the quantisation memo returns exactly what the
-// device model computes, and that repeated lookups are served from the
-// memo rather than growing it.
-func TestQuantMemo(t *testing.T) {
-	d := design.VideoReceiver()
-	s := newTestSearchers(t, d, Options{Budget: design.CaseStudyBudget()})[0]
-	vecs := []resource.Vector{
-		resource.New(0, 0, 0),
-		resource.New(17, 0, 3),
-		resource.New(1200, 12, 0),
-		resource.New(6800, 64, 150),
-	}
-	for _, res := range vecs {
-		area, frames := s.quantize(s.sc, res)
-		if want := device.TilesToPrimitives(device.Tiles(res)); area != want {
-			t.Errorf("quantize(%v) area = %v, want %v", res, area, want)
-		}
-		if want := s.searchFrames(res); frames != want {
-			t.Errorf("quantize(%v) frames = %d, want %d", res, frames, want)
-		}
-	}
-	size := len(s.sc.quant)
-	for _, res := range vecs {
-		s.quantize(s.sc, res)
-	}
-	if len(s.sc.quant) != size {
-		t.Errorf("repeated quantize grew the memo: %d -> %d entries", size, len(s.sc.quant))
 	}
 }
 

@@ -129,7 +129,8 @@ func wideDesign(seed int64, modules, modesPer, active, configs int) *design.Desi
 // through SolveContext, whose scratches come from scratchPool, at
 // Workers 1 and 2; there the sequence straddles every retention bound
 // of the pool, so some solves reuse a grown pooled scratch and others
-// drop theirs. The wide designs search two candidate sets: one set's
+// drop theirs (the 11-module wide design is the one whose merge table
+// ends within its bound). The wide designs search two candidate sets: one set's
 // search already grows their tables to full size, and two keep both
 // workers busy at Workers 2.
 func TestPooledScratchIdentity(t *testing.T) {
@@ -137,7 +138,7 @@ func TestPooledScratchIdentity(t *testing.T) {
 	wide := map[*design.Design]bool{large: true}
 	smaller := []*design.Design{design.PaperExample(), design.VideoReceiver(), synthetic.Generate(1, 41)[40]}
 	smaller = append(smaller, synthetic.Generate(4, 3)...)
-	for _, d := range []*design.Design{wideDesign(1, 7, 3, 3, 24), wideDesign(1, 10, 4, 5, 40)} {
+	for _, d := range []*design.Design{wideDesign(1, 7, 3, 3, 24), wideDesign(1, 10, 4, 5, 40), wideDesign(1, 11, 4, 5, 45)} {
 		wide[d] = true
 		smaller = append(smaller, d)
 	}

@@ -17,8 +17,8 @@ import (
 // iteration, applies moves by cloning, and snapshots every feasible
 // state. It shares state construction (initial, moduleGrouped,
 // newGroup), move enumeration and snapshot semantics with the optimised
-// engine but touches none of the delta cache, quantisation memo or
-// running aggregates, so any incremental-bookkeeping bug shows up as a
+// engine but touches neither the delta cache nor the running
+// aggregates, so any incremental-bookkeeping bug shows up as a
 // divergence in TestDifferentialIncrementalVsReference. referenceRun
 // also skips the search counters — oracle runs must not perturb the optimised
 // path's deterministic observability contract.

@@ -18,7 +18,7 @@ import (
 // caller supplies an explicit part list, its activation table and an
 // initial grouping (typically the projection of a coarser level's
 // solution), and the engine runs its greedy descent machinery — the
-// delta cache, quantisation memo and running aggregates of delta.go —
+// delta cache and running aggregates of delta.go —
 // from that state. It runs the same move scan as the solve path, but
 // lets states large enough to be worth it (parWorthwhile) split into
 // refineShards shards over Options.Workers (see scan.go); group masks

@@ -37,11 +37,11 @@ import (
 //     source-group id, transfers by source part index); workers are
 //     merely who executes a shard. Every per-shard cache and counter
 //     trajectory is therefore a pure function of the input.
-//   - Per-shard scratches. The delta cache and quantise memo are
-//     allocation-free but single-threaded; each shard owns a private
-//     scratch, and shard ownership is stable across iterations (group
-//     ids survive unrelated moves, part indices never change), so a
-//     shard re-hits its own cache exactly as one shared cache would.
+//   - Per-shard scratches. The delta cache is allocation-free but
+//     single-threaded; each shard owns a private scratch, and shard
+//     ownership is stable across iterations (group ids survive
+//     unrelated moves, part indices never change), so a shard re-hits
+//     its own cache exactly as one shared cache would.
 //     Cached entries are exact pure functions of their operands, so
 //     splitting the cache can change hit/miss timing, never a value.
 //   - Deterministic fixed-order reduction. Every candidate carries an
@@ -60,11 +60,12 @@ import (
 // small. prepare copies the groups' mask words into one flat array, so
 // a merge or transfer compatibility test — which most pairs fail — is
 // an AND of words read in sequence, not a walk through each group's
-// mask slice. A transfer's destination side comes from the moved part's
-// dense row, indexed by the destination's raw group id (extRow); only
-// a first read computes it. While the state is infeasible each legal
-// transfer computes its violation once, on the exact area. A one-shard
-// scan owns every move, so it tests no shard ownership.
+// mask slice. Both sides of a transfer come from the moved part's
+// dense row, indexed by raw group id (extRow): the destination's slot
+// and the source group's; only a first read computes an entry. While
+// the state is infeasible each legal transfer computes its violation
+// once, on the exact area. A one-shard scan owns every move, so it
+// tests no shard ownership.
 
 const (
 	// refineShards is the shard count of a sharded refine scan. It is
@@ -216,16 +217,18 @@ func betterCand(d, saved, v int64, ord uint64, b *shardCand, feasible bool) bool
 	return ord < b.ord
 }
 
-// extRow is the destination cache of one candidate part: slot id holds
-// the extension entry of the group with that id by the part (see
-// extendEntry), filled the first time a scan reads it. Groups are
-// immutable and an id never stands for another group within a
-// candidate set, so a filled slot can never go stale — unlike a slot
-// indexed by group position, which applyMove's slice surgery would
-// shift every iteration. The rows are the only home of extension
-// entries: the transfer scan reads them for every compatible
-// destination, and applyMove reads the winner's back from the row of
-// the scratch that evaluated it.
+// extRow is the transfer cache of one candidate part: slot id holds
+// the entry of the group with that id, filled the first time a scan
+// reads it — the group extended by the part (extendEntry) when the
+// group lacks the part, and the group shrunk by it (shrinkEntry) when
+// the group holds it. A group's parts never change, so each id has one
+// kind for the part's whole row. Groups are immutable and an id never
+// stands for another group within a candidate set, so a filled slot
+// can never go stale — unlike a slot indexed by group position, which
+// applyMove's slice surgery would shift every iteration. The rows are
+// the only home of extension and shrink entries: the transfer scan
+// reads them through moveScan.entry, and applyMove reads the winner's
+// back from the row of the scratch that evaluated it.
 //
 // Rows are indexed by the raw id. A candidate set builds few groups —
 // on the §V sweep corpus a median of 29 ids per set, 291 at most, and
@@ -236,7 +239,7 @@ type extRow struct {
 	slots []extSlot
 }
 
-// extSlot is one compact extension entry: the contribution, the area
+// extSlot is one compact row entry: the contribution, the area
 // in 32-bit components, and the scratch epoch it was filled in. A tag
 // other than the scratch's current epoch means unknown, so reset
 // empties every row at once by advancing the epoch, with no clearing.
@@ -268,12 +271,12 @@ func (p *moveScan) row(sc *scratch, pi int) *extRow {
 	return &sc.ext[pi]
 }
 
-// dest returns the extension of group gj by part pi — the destination
-// side of a transfer — from the part's row in sc, computing and
-// storing it the first time. The caller has checked that pi may join
-// gj.
-func (p *moveScan) dest(sc *scratch, row *extRow, gj *group, pi int) pairEntry {
-	id := int(gj.id)
+// entry returns slot g.id of row, part pi's row in sc, computing and
+// storing it the first time: g shrunk by the part at its slot k when k
+// >= 0 (pi is g.parts[k]), g extended by pi otherwise (the caller has
+// checked that pi may join g).
+func (p *moveScan) entry(sc *scratch, row *extRow, g *group, pi, k int) pairEntry {
+	id := int(g.id)
 	if id >= len(row.slots) {
 		row.grow(max(id+1, p.rowLen))
 	}
@@ -283,7 +286,12 @@ func (p *moveScan) dest(sc *scratch, row *extRow, gj *group, pi int) pairEntry {
 		return pairEntry{contrib: sl.contrib, area: resource.Vector{CLB: int(sl.clb), BRAM: int(sl.bram), DSP: int(sl.dsp)}}
 	}
 	sc.n.deltaMiss++
-	e := p.s.extendEntry(sc, gj, pi)
+	var e pairEntry
+	if k >= 0 {
+		e = p.s.shrinkEntry(sc, g, k)
+	} else {
+		e = p.s.extendEntry(sc, g, pi)
+	}
 	if a := e.area; a.CLB <= math.MaxInt32 && a.BRAM <= math.MaxInt32 && a.DSP <= math.MaxInt32 {
 		*sl = extSlot{contrib: e.contrib, clb: int32(a.CLB), bram: int32(a.BRAM), dsp: int32(a.DSP), tag: sc.epoch}
 	}
@@ -309,9 +317,9 @@ func disjoint(a, b []uint64) bool {
 // rejected (while feasible a move must stay feasible; while infeasible
 // it must shrink the violation), and hands each survivor to visit with
 // its exact cost delta, resulting total area and budget violation.
-// Compatibility is read from the scan's flat mask array, the
-// destination side from the moved part's dense row in sc. The source
-// side — the shrunken source group's entry — is the same whatever the
+// Compatibility is read from the scan's flat mask array, both sides
+// from the moved part's dense row in sc. The source side — the
+// shrunken source group's entry — is the same whatever the
 // destination, so it is looked up at most once, on the first
 // destination that may still be accepted. While the state is feasible,
 // rejection can often be decided from the destination alone: the
@@ -342,7 +350,7 @@ func (p *moveScan) transfers(sc *scratch, i, k int, visit func(j int, d int64, a
 			continue
 		}
 		gj := groups[j]
-		dst := p.dest(sc, row, gj, pi)
+		dst := p.entry(sc, row, gj, pi, -1)
 		moves++
 		area := p.curArea.Sub(gi.area).Sub(gj.area).Add(dst.area)
 		if feasible && !s.feasible(area) {
@@ -350,7 +358,7 @@ func (p *moveScan) transfers(sc *scratch, i, k int, visit func(j int, d int64, a
 			continue
 		}
 		if !haveShrink {
-			shrink, haveShrink = s.shrinkEntry(sc, gi, k), true
+			shrink, haveShrink = p.entry(sc, row, gi, pi, k), true
 		}
 		area = area.Add(shrink.area)
 		v, rej := s.areaViolation(area, p.curViol)

@@ -98,10 +98,14 @@ func TestScanShardCountInvariant(t *testing.T) {
 // when the part may join the group (partCompatible on the fresh
 // group), and a filled slot must equal extendEntry on the fresh group.
 // Incompatible destinations are never read, so an empty slot there is
-// what a correct scan leaves. It returns how many filled slots it
-// compared for ids built before the descent began that are not start
-// groups — groups an earlier descent built and interning handed out
-// again.
+// what a correct scan leaves. The slot for the part's own group's id
+// holds the shrink entry: it must be filled when some destination
+// survived transfers' destination-side bound (the scan then looked the
+// shrink entry up), and a filled slot must equal shrinkEntry on the
+// fresh group and the part's slot in it. It returns how many filled
+// slots it compared for ids built before the descent began that are
+// not start groups — groups an earlier descent built and interning
+// handed out again.
 func checkRowsAgainstFresh(t *testing.T, c memoCase, starts []*state) (reinterned int) {
 	t.Helper()
 	s := c.s
@@ -142,25 +146,33 @@ func checkRows(t *testing.T, c memoCase, cur *state, first, nParts uint64, where
 		fresh[j] = fs.newGroup(g.parts...)
 	}
 	shards := s.scan.shardsFor(cur, true)
+	infeasible := fs.violation(cur.area) > 0
 	for i, gi := range cur.groups {
 		if len(gi.parts) < 2 {
 			continue
 		}
-		for _, pi := range gi.parts {
+		for k, pi := range gi.parts {
 			sc := s.sc
 			if shards > 1 {
 				sc = s.scan.scratches[pi%shards]
 			}
 			row := s.scan.row(sc, pi)
+			slotOf := func(id uint64) (extSlot, bool) {
+				var slot extSlot
+				if int(id) < len(row.slots) {
+					slot = row.slots[id]
+				}
+				return slot, slot.tag == sc.epoch
+			}
+			entryOf := func(slot extSlot) pairEntry {
+				return pairEntry{contrib: slot.contrib, area: resource.Vector{CLB: int(slot.clb), BRAM: int(slot.bram), DSP: int(slot.dsp)}}
+			}
+			bounded := false // some destination survived the destination-side bound
 			for j, gj := range cur.groups {
 				if j == i {
 					continue
 				}
-				var slot extSlot
-				if id := int(gj.id); id < len(row.slots) {
-					slot = row.slots[id]
-				}
-				filled := slot.tag == sc.epoch
+				slot, filled := slotOf(gj.id)
 				if compatible := fs.partCompatible(pi, fresh[j]); filled != compatible {
 					t.Fatalf("%s %s: part %d into group %v (id %d): row slot filled=%v, partCompatible=%v",
 						c.label, where, pi, gj.parts, gj.id, filled, compatible)
@@ -169,14 +181,26 @@ func checkRows(t *testing.T, c memoCase, cur *state, first, nParts uint64, where
 					continue
 				}
 				want := fs.extendEntry(fs.sc, fresh[j], pi)
-				got := pairEntry{contrib: slot.contrib, area: resource.Vector{CLB: int(slot.clb), BRAM: int(slot.bram), DSP: int(slot.dsp)}}
-				if got != want {
+				if got := entryOf(slot); got != want {
 					t.Fatalf("%s %s: part %d into group %v (id %d): row slot %+v, a fresh extendEntry %+v",
 						c.label, where, pi, gj.parts, gj.id, got, want)
 				}
 				if gj.id >= nParts && gj.id < first {
 					reinterned++
 				}
+				bounded = bounded || infeasible || fs.feasible(cur.area.Sub(fresh[i].area).Sub(fresh[j].area).Add(want.area))
+			}
+			slot, filled := slotOf(gi.id)
+			if bounded && !filled {
+				t.Fatalf("%s %s: part %d out of group %v (id %d): shrink slot empty, but a destination survived the bound",
+					c.label, where, pi, gi.parts, gi.id)
+			}
+			if !filled {
+				continue
+			}
+			if got, want := entryOf(slot), fs.shrinkEntry(fs.sc, fresh[i], k); got != want {
+				t.Fatalf("%s %s: part %d out of group %v (id %d): row slot %+v, a fresh shrinkEntry %+v",
+					c.label, where, pi, gi.parts, gi.id, got, want)
 			}
 		}
 	}
@@ -212,16 +236,17 @@ func rowCases(t *testing.T, d *design.Design, opts Options, maxSets int) []func(
 // TestTransferRowsMatchFreshEntries pins the dense transfer rows,
 // indexed by raw group id: every slot a transfer scan reads holds
 // exactly the entry a fresh scratch computes for the part and the
-// group the id stands for, and only compatible destinations are ever
-// filled. It walks every descent run starts — the all-separate and
-// module-grouped starts and every first-move restart, each under every
-// move vocabulary — so that groups built by an earlier descent come
-// back through interning with their old, lower ids and are read again;
-// the candidate sets of one design share a scratch, so rows outlive a
-// set. The inputs are the case study, the paper example, seeded
-// synthetic designs and a design with more than 64 configurations
-// (masks of two words), plus one refine-scale level whose large states
-// shard, so rows also live in shard scratches.
+// group the id stands for — the extension entry of a destination, the
+// shrink entry of the part's own group — and only compatible
+// destinations are ever filled. It walks every descent run starts —
+// the all-separate and module-grouped starts and every first-move
+// restart, each under every move vocabulary — so that groups built by
+// an earlier descent come back through interning with their old, lower
+// ids and are read again; the candidate sets of one design share a
+// scratch, so rows outlive a set. The inputs are the case study, the
+// paper example, seeded synthetic designs and a design with more than
+// 64 configurations (masks of two words), plus one refine-scale level
+// whose large states shard, so rows also live in shard scratches.
 func TestTransferRowsMatchFreshEntries(t *testing.T) {
 	corpus := 3
 	if raceEnabled {

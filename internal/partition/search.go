@@ -411,8 +411,8 @@ type searcher struct {
 	// weights[i][j] is the scaled symmetric pair weight (nil = uniform).
 	weights [][]int64
 
-	// sc holds the reusable buffers, delta cache and quantisation memo
-	// (see delta.go); reset per candidate set, shared across the sets a
+	// sc holds the reusable buffers and the delta cache (see
+	// delta.go); reset per candidate set, shared across the sets a
 	// worker processes.
 	sc *scratch
 
@@ -425,7 +425,6 @@ type searcher struct {
 	// Options.Obs is nil, making every update a single branch.
 	cMoves, cRejects, cDescents *obs.Counter
 	cDeltaHit, cDeltaMiss       *obs.Counter
-	cQuantHit, cQuantMiss       *obs.Counter
 	cSnapSkip                   *obs.Counter
 	gDepth                      *obs.Gauge
 }
@@ -440,14 +439,10 @@ func (s *searcher) flushCounts() {
 		if sc != nil {
 			n.deltaHit += sc.n.deltaHit
 			n.deltaMiss += sc.n.deltaMiss
-			n.quantHit += sc.n.quantHit
-			n.quantMiss += sc.n.quantMiss
 		}
 	}
 	s.cDeltaHit.Add(n.deltaHit)
 	s.cDeltaMiss.Add(n.deltaMiss)
-	s.cQuantHit.Add(n.quantHit)
-	s.cQuantMiss.Add(n.quantMiss)
 	s.cSnapSkip.Add(n.snapSkip)
 }
 
@@ -483,8 +478,6 @@ func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, op
 	s.cDescents = opts.Obs.Counter("partition.descents")
 	s.cDeltaHit = opts.Obs.Counter("partition.delta_cache_hits")
 	s.cDeltaMiss = opts.Obs.Counter("partition.delta_cache_misses")
-	s.cQuantHit = opts.Obs.Counter("partition.quant_memo_hits")
-	s.cQuantMiss = opts.Obs.Counter("partition.quant_memo_misses")
 	s.cSnapSkip = opts.Obs.Counter("partition.snapshots_skipped")
 	s.gDepth = opts.Obs.Gauge("partition.descent_depth_max")
 	sets := make([]modeset.Set, len(cs.Parts))

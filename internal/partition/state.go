@@ -243,8 +243,9 @@ func (s *searcher) applyMove(sc *scratch, st *state, mv move) {
 		gi, gj := st.groups[mv.i], st.groups[mv.j]
 		k := mv.part
 		pi := gi.parts[k]
-		dst := s.scan.dest(sc, s.scan.row(sc, pi), gj, pi)
-		src := s.shrinkEntry(sc, gi, k)
+		row := s.scan.row(sc, pi)
+		dst := s.scan.entry(sc, row, gj, pi, -1)
+		src := s.scan.entry(sc, row, gi, pi, k)
 		st.path = append(st.path, pathStep{a: gi.parts[k : k+1 : k+1], b: gj.parts})
 		s.sc.parts = append(append(s.sc.parts[:0], gj.parts...), pi)
 		merged := s.newGroup(s.sc.parts...)
