@@ -25,8 +25,10 @@ func (m Mask) Set(i int) { m[i/64] |= 1 << (i % 64) }
 // Has reports whether configuration i is marked.
 func (m Mask) Has(i int) bool { return m[i/64]&(1<<(i%64)) != 0 }
 
-// Intersects reports whether two masks share a configuration.
+// Intersects reports whether two masks share a configuration. o must
+// be at least as long as m.
 func (m Mask) Intersects(o Mask) bool {
+	o = o[:len(m)]
 	for i := range m {
 		if m[i]&o[i] != 0 {
 			return true
@@ -44,18 +46,13 @@ func (m Mask) Count() int {
 	return n
 }
 
-// Union returns a fresh mask with every configuration marked in m or o.
-func (m Mask) Union(o Mask) Mask {
-	out := make(Mask, len(m))
+// Or marks in m every configuration marked in o, in place. o must be
+// at least as long as m.
+func (m Mask) Or(o Mask) {
+	o = o[:len(m)]
 	for i := range m {
-		out[i] = m[i] | o[i]
+		m[i] |= o[i]
 	}
-	return out
-}
-
-// Clone returns an independent copy.
-func (m Mask) Clone() Mask {
-	return append(Mask(nil), m...)
 }
 
 // ConfigMask returns the mask of configurations that intersect (activate
@@ -72,12 +69,6 @@ func ConfigMask(m *connmat.Matrix, set modeset.Set) Mask {
 		}
 	}
 	return out
-}
-
-// Compatible reports whether sets a and b may share a region: no
-// configuration intersects both.
-func Compatible(m *connmat.Matrix, a, b modeset.Set) bool {
-	return !ConfigMask(m, a).Intersects(ConfigMask(m, b))
 }
 
 // Table precomputes the configuration masks of a list of mode sets so
@@ -102,6 +93,3 @@ func (t *Table) Compatible(i, j int) bool {
 
 // Mask returns the configuration mask of entry i.
 func (t *Table) Mask(i int) Mask { return t.masks[i] }
-
-// Len returns the number of entries.
-func (t *Table) Len() int { return len(t.masks) }

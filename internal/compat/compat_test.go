@@ -11,6 +11,29 @@ import (
 
 func r(mod, mode int) design.ModeRef { return design.ModeRef{Module: mod, Mode: mode} }
 
+// Compatible reports whether sets a and b may share a region: no
+// configuration intersects both.
+func Compatible(m *connmat.Matrix, a, b modeset.Set) bool {
+	return !ConfigMask(m, a).Intersects(ConfigMask(m, b))
+}
+
+// Union returns a fresh mask with every configuration marked in m or o.
+func (m Mask) Union(o Mask) Mask {
+	out := make(Mask, len(m))
+	for i := range m {
+		out[i] = m[i] | o[i]
+	}
+	return out
+}
+
+// Clone returns an independent copy.
+func (m Mask) Clone() Mask {
+	return append(Mask(nil), m...)
+}
+
+// Len returns the number of entries.
+func (t *Table) Len() int { return len(t.masks) }
+
 func TestPaperCompatibilityExamples(t *testing.T) {
 	m := connmat.New(design.PaperExample())
 	// Paper: {A1} and {A2} are compatible; {A1} and {B1} are not, because
@@ -80,6 +103,10 @@ func TestMaskBasics(t *testing.T) {
 	c.Set(2)
 	if m.Has(2) {
 		t.Error("Clone shares storage with original")
+	}
+	c.Or(o2)
+	if c.Count() != 6 || !c.Has(1) || !c.Has(2) || !u.Has(1) || u.Has(2) {
+		t.Errorf("Or wrong: count=%d", c.Count())
 	}
 }
 

@@ -224,7 +224,9 @@ func (m *Manager) runJob(j *Job, ctx context.Context, run RunFunc) {
 }
 
 // finish moves a job to a terminal state exactly once: records the
-// outcome, persists, closes Done and applies retention.
+// outcome, persists, applies retention and closes Done. Retention comes
+// before Done, so a caller woken by Done never finds a job that this
+// transition evicted still live.
 func (m *Manager) finish(j *Job, state State, status int, errMsg string, body []byte) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -244,8 +246,6 @@ func (m *Manager) finish(j *Job, state State, status int, errMsg string, body []
 	if m.cfg.Persist != nil {
 		m.cfg.Persist(rec)
 	}
-	close(j.done)
-
 	m.mu.Lock()
 	m.finished = append(m.finished, j.id)
 	for len(m.finished) > m.cfg.MaxFinished {
@@ -254,6 +254,7 @@ func (m *Manager) finish(j *Job, state State, status int, errMsg string, body []
 		delete(m.jobs, evict)
 	}
 	m.mu.Unlock()
+	close(j.done)
 }
 
 // Get returns the live job for id, or — when it has been evicted or

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"prpart/internal/basepart"
+	"prpart/internal/compat"
 	"prpart/internal/design"
 	"prpart/internal/device"
 	"prpart/internal/partition"
@@ -143,46 +144,23 @@ func pack(lv *level, ids []int) [][]int {
 		return ids[a] < ids[b]
 	})
 	var subs [][]int
-	var masks []maskAcc
+	var masks []compat.Mask
 	for _, id := range ids {
 		placed := false
 		for si := range subs {
-			if !masks[si].intersects(lv.nodes[id].mask) {
+			if !masks[si].Intersects(lv.nodes[id].mask) {
 				subs[si] = append(subs[si], id)
-				masks[si].or(lv.nodes[id].mask)
+				masks[si].Or(lv.nodes[id].mask)
 				placed = true
 				break
 			}
 		}
 		if !placed {
 			subs = append(subs, []int{id})
-			masks = append(masks, newMaskAcc(lv.nodes[id].mask))
+			masks = append(masks, append(compat.Mask(nil), lv.nodes[id].mask...))
 		}
 	}
 	return subs
-}
-
-// maskAcc is a mutable union of configuration masks (compat.Mask's own
-// Union allocates a fresh mask per call).
-type maskAcc struct{ words []uint64 }
-
-func newMaskAcc(m []uint64) maskAcc {
-	return maskAcc{words: append([]uint64(nil), m...)}
-}
-
-func (a *maskAcc) or(m []uint64) {
-	for i := range a.words {
-		a.words[i] |= m[i]
-	}
-}
-
-func (a *maskAcc) intersects(m []uint64) bool {
-	for i := range a.words {
-		if a.words[i]&m[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // warmStart converts a level and a grouping into the partition engine's

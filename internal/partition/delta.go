@@ -364,10 +364,26 @@ func (t *pairTable) grow() {
 	}
 }
 
-// quantize returns the tile-quantised capacity and search-frame cost of
-// a raw resource requirement.
-func (s *searcher) quantize(res resource.Vector) (area resource.Vector, frames int64) {
-	return device.TilesToPrimitives(device.Tiles(res)), s.searchFrames(res)
+// groupCost is the one cost function of a region group: the
+// tile-quantised area, the search frames and the cost contribution of a
+// group with raw per-resource maximum res. The contribution is frames ×
+// the (weighted) number of configuration pairs whose transition
+// reconfigures the group — both sides active with different parts. In
+// uniform mode that number follows from active and sumSq, the sum of
+// the parts' activation counts and of their squares; in weighted mode
+// it is summed over act, the per-configuration activation. newGroup and
+// the delta-cache entries below each build these aggregates in their
+// own way (merge and extend in O(1)) and hand them here.
+func (s *searcher) groupCost(res resource.Vector, active int, sumSq int64, act []int32) (e pairEntry, frames int64) {
+	e.area = device.TilesToPrimitives(device.Tiles(res))
+	frames = s.searchFrames(res)
+	if s.weights != nil {
+		e.contrib = frames * s.weightedDiff(act)
+	} else {
+		a := int64(active)
+		e.contrib = frames * ((a*a - sumSq) / 2)
+	}
+	return e, frames
 }
 
 // mergeEntry returns the contribution and area of the group that would
@@ -379,28 +395,20 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 		return e
 	}
 	sc.n.deltaMiss++
-	res := gi.res.Max(gj.res)
-	area, frames := s.quantize(res)
-	var contrib int64
+	var act []int32
 	if s.weights != nil {
 		// Compatibility guarantees at most one side is active per
 		// configuration, so the merged activation is a plain overlay.
-		act := sc.act[:0]
-		for ci := range gi.act {
-			if gi.act[ci] != 0 {
-				act = append(act, gi.act[ci])
-			} else {
-				act = append(act, gj.act[ci])
+		act = sc.act[:0]
+		for ci, a := range gi.act {
+			if a == 0 {
+				a = gj.act[ci]
 			}
+			act = append(act, a)
 		}
 		sc.act = act
-		contrib = frames * s.weightedDiff(act)
-	} else {
-		sum := int64(gi.active + gj.active)
-		sq := gi.sumSq + gj.sumSq
-		contrib = frames * (sum*sum - sq) / 2
 	}
-	e := pairEntry{contrib: contrib, area: area}
+	e, _ := s.groupCost(gi.res.Max(gj.res), gi.active+gj.active, gi.sumSq+gj.sumSq, act)
 	sc.pairs.put(key, e)
 	return e
 }
@@ -409,70 +417,50 @@ func (s *searcher) mergeEntry(sc *scratch, gi, gj *group) pairEntry {
 // by candidate part pi — the destination side of a transfer move. It
 // is cached in slot gj.id of the part's dense row (moveScan.entry).
 func (s *searcher) extendEntry(sc *scratch, gj *group, pi int) pairEntry {
-	res := gj.res.Max(s.partRes[pi])
-	area, frames := s.quantize(res)
-	var contrib int64
+	var act []int32
 	if s.weights != nil {
-		act := append(sc.act[:0], gj.act...)
+		act = append(sc.act[:0], gj.act...)
 		for ci := range s.cs.Active {
 			if s.cs.Active[ci][pi] {
 				act[ci] = int32(pi) + 1
 			}
 		}
 		sc.act = act
-		contrib = frames * s.weightedDiff(act)
-	} else {
-		n := int64(s.partAct[pi])
-		sum := int64(gj.active) + n
-		sq := gj.sumSq + n*n
-		contrib = frames * (sum*sum - sq) / 2
 	}
-	return pairEntry{contrib: contrib, area: area}
+	n := int64(s.partAct[pi])
+	e, _ := s.groupCost(gj.res.Max(s.partRes[pi]), gj.active+s.partAct[pi], gj.sumSq+n*n, act)
+	return e
 }
 
 // shrinkEntry computes the contribution and area of group gi with the
 // part at slot k removed — the source side of a transfer move. It is
 // cached in slot gi.id of the removed part's dense row
-// (moveScan.entry). Removal cannot be computed incrementally (max does
-// not subtract), so it walks the remaining parts; the cache makes that
-// a one-time cost per (group, part) combination.
+// (moveScan.entry). The activation aggregates subtract, but max does
+// not, so the raw resources walk the remaining parts; the cache makes
+// that a one-time cost per (group, part) combination.
 func (s *searcher) shrinkEntry(sc *scratch, gi *group, k int) pairEntry {
+	pi := gi.parts[k]
 	var res resource.Vector
-	var active int
-	var sumSq int64
 	for idx, p := range gi.parts {
-		if idx == k {
-			continue
+		if idx != k {
+			res = res.Max(s.partRes[p])
 		}
-		res = res.Max(s.partRes[p])
-		n := int64(s.partAct[p])
-		active += s.partAct[p]
-		sumSq += n * n
 	}
-	area, frames := s.quantize(res)
-	var contrib int64
+	var act []int32
 	if s.weights != nil {
-		act := sc.act[:0]
-		for range s.d.Configurations {
-			act = append(act, 0)
-		}
-		for idx, p := range gi.parts {
-			if idx == k {
-				continue
-			}
-			for ci := range s.cs.Active {
-				if s.cs.Active[ci][p] {
-					act[ci] = int32(p) + 1
-				}
+		// A configuration activates at most one part of the group, so
+		// removing pi clears exactly the configurations that map to it.
+		act = append(sc.act[:0], gi.act...)
+		for ci, a := range act {
+			if a == int32(pi)+1 {
+				act[ci] = 0
 			}
 		}
 		sc.act = act
-		contrib = frames * s.weightedDiff(act)
-	} else {
-		sum := int64(active)
-		contrib = frames * (sum*sum - sumSq) / 2
 	}
-	return pairEntry{contrib: contrib, area: area}
+	n := int64(s.partAct[pi])
+	e, _ := s.groupCost(res, gi.active-s.partAct[pi], gi.sumSq-n*n, act)
+	return e
 }
 
 // evalMove is the incremental counterpart of the oracle's moveDelta

@@ -7,7 +7,6 @@ import (
 
 	"prpart/internal/basepart"
 	"prpart/internal/connmat"
-	"prpart/internal/cost"
 	"prpart/internal/cover"
 	"prpart/internal/design"
 )
@@ -17,13 +16,14 @@ import (
 // instead of deriving candidate parts by clustering and covering, the
 // caller supplies an explicit part list, its activation table and an
 // initial grouping (typically the projection of a coarser level's
-// solution), and the engine runs its greedy descent machinery — the
-// delta cache and running aggregates of delta.go —
-// from that state. It runs the same move scan as the solve path, but
-// lets states large enough to be worth it (parWorthwhile) split into
-// refineShards shards over Options.Workers (see scan.go); group masks
-// keep move legality cheap even when a level carries thousands of
-// parts.
+// solution), and the engine runs the solve path's descent (descend),
+// incumbent and Result builder from that state, once, with transfer
+// moves off above refineTransferCap parts. What differs is the scan's
+// shard count: states large enough to be worth it (parWorthwhile) split
+// into refineShards shards over Options.Workers (see scan.go); group
+// masks keep move legality cheap even when a level carries thousands of
+// parts. While no visited state fits the budget, the least-violating
+// one is kept as the fallback grouping.
 
 // WarmStart describes a refinement problem: candidate parts with their
 // per-configuration activations, plus an initial assignment of every
@@ -149,6 +149,8 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	m := connmat.New(d)
 	cs := &cover.CandidateSet{Parts: ws.Parts, Active: ws.Active}
 	s := newSearcher(d, m, cs, opts, getScratch())
+	s.ctx = ctx
+	s.transfers = len(ws.Parts) <= refineTransferCap
 	// Shard large scan iterations over Options.Workers. The shard
 	// decomposition is Workers-independent, so any worker count —
 	// including the serial default — produces byte-identical schemes
@@ -183,65 +185,37 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	st.cost = st.totalCost()
 	st.area = st.totalArea()
 
-	states := 0
-	var best *snapshot
+	in := incumbent{s: s}
 	// fallback tracks the least-violating visited state so an infeasible
-	// level still returns a grouping for the chain to keep refining.
+	// level still returns a grouping for the chain to keep refining:
+	// while the incumbent is empty, every recorded state is infeasible.
 	var fallback *snapshot
 	var fallbackViol int64
 	record := func(vs *state) {
-		states++
-		if !s.feasible(vs.area) {
-			if best == nil {
-				v := s.violation(vs.area)
-				if fallback == nil || v < fallbackViol ||
-					(v == fallbackViol && (vs.cost < fallback.cost ||
-						(vs.cost == fallback.cost && vs.area.Total() < fallback.area.Total()))) {
-					fallback = s.snap(vs)
-					fallbackViol = v
-				}
-			}
+		in.record(vs)
+		if in.best != nil {
 			return
 		}
-		if best != nil {
-			if vs.cost > best.cost {
-				s.sc.n.snapSkip++
-				return
-			}
-			if vs.cost == best.cost {
-				at, bt := vs.area.Total(), best.area.Total()
-				if at > bt || (at == bt && len(vs.groups) >= len(best.st.groups)) {
-					s.sc.n.snapSkip++
-					return
-				}
-			}
+		v := s.violation(vs.area)
+		if fallback == nil || v < fallbackViol ||
+			(v == fallbackViol && (vs.cost < fallback.cost ||
+				(vs.cost == fallback.cost && vs.area.Total() < fallback.area.Total()))) {
+			fallback = s.snap(vs)
+			fallbackViol = v
 		}
-		best = s.snap(vs)
 	}
 	record(st)
-	allowTransfers := len(ws.Parts) <= refineTransferCap
-	statics := []bool{false}
-	if !opts.NoStatic {
-		statics = append(statics, true)
-	}
-	for _, withStatic := range statics {
-		if ctx.Err() != nil {
-			break
-		}
-		s.greedy(st, withStatic, false, record)
-		if allowTransfers {
-			s.greedy(st, withStatic, true, record)
-		}
-	}
+	s.descend(st, record)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("partition: refine cancelled: %w", err)
 	}
 
+	best := in.best
 	chosen := best
 	if chosen == nil {
 		chosen = fallback
 	}
-	out := &RefineOutcome{States: states, Feasible: best != nil}
+	out := &RefineOutcome{States: in.states, Feasible: best != nil}
 	out.Groups = make([][]int, len(chosen.st.groups))
 	for i, g := range chosen.st.groups {
 		out.Groups[i] = append([]int(nil), g.parts...)
@@ -250,20 +224,10 @@ func RefineContext(ctx context.Context, d *design.Design, ws WarmStart, opts Opt
 	if best == nil {
 		return out, nil
 	}
-	sch, err := best.scheme("proposed")
+	res, err := best.result(1, in.states)
 	if err != nil {
 		return nil, err
 	}
-	if err := sch.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: internal error: refined scheme invalid: %w", err)
-	}
-	_, sum := cost.Evaluate(sch)
-	out.Result = &Result{
-		Scheme:        sch,
-		Summary:       sum,
-		CandidateSets: 1,
-		States:        states,
-		Trace:         best.trace(),
-	}
+	out.Result = res
 	return out, nil
 }

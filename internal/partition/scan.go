@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"prpart/internal/compat"
 	"prpart/internal/resource"
 )
 
@@ -298,19 +299,6 @@ func (p *moveScan) entry(sc *scratch, row *extRow, g *group, pi, k int) pairEntr
 	return e
 }
 
-// disjoint reports whether two masks of equal length share no
-// configuration: two groups may merge, and a part may join a group,
-// exactly when their masks are disjoint.
-func disjoint(a, b []uint64) bool {
-	b = b[:len(a)]
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // transfers evaluates every transfer of part slot k of group i into
 // another group of the current state, in destination order. It returns
 // how many were legal and how many of those the greedy area rule
@@ -343,7 +331,7 @@ func (p *moveScan) transfers(sc *scratch, i, k int, visit func(j int, d int64, a
 			if m0&p.masks[j] != 0 {
 				continue
 			}
-		} else if !disjoint(mask, p.masks[j*w:j*w+w]) {
+		} else if mask.Intersects(p.masks[j*w : j*w+w]) {
 			continue
 		}
 		if j == i {
@@ -648,13 +636,13 @@ func (p *moveScan) runShard(si int) {
 				continue
 			}
 			if merges {
-				mi := p.masks[i*w : i*w+w]
+				mi := compat.Mask(p.masks[i*w : i*w+w])
 				for j := i + 1; j < len(groups); j++ {
 					if w == 1 {
 						if mi[0]&p.masks[j] != 0 {
 							continue
 						}
-					} else if !disjoint(mi, p.masks[j*w:j*w+w]) {
+					} else if mi.Intersects(p.masks[j*w : j*w+w]) {
 						continue
 					}
 					consider(&cands[ordMerge], gi, groups[j], moveOrd(i, ordMerge, 0, j))

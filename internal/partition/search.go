@@ -21,13 +21,15 @@ import (
 
 // This file is the search engine's entry point: SolveContext clusters
 // the design into candidate partition sets and runs one searcher per
-// set, in parallel over sets. A searcher (below) runs greedy descents
-// from the all-separate and module-grouped starts (state.go); every
-// descent step is one pass of the move scan (scan.go) over the current
-// state's legal moves, evaluated against the delta cache (delta.go).
-// On this path the scan always runs as one shard; RefineContext
-// (refine.go) reuses the same searcher and scan from a caller-supplied
-// grouping and lets large states shard.
+// set, on a pool of Options.Workers workers of which the caller is one.
+// A searcher (below) runs greedy descents from the all-separate and
+// module-grouped starts (state.go) and keeps the best feasible state it
+// records in its incumbent; every descent step is one pass of the move
+// scan (scan.go) over the current state's legal moves, evaluated
+// against the delta cache (delta.go). On this path the scan always runs
+// as one shard. RefineContext (refine.go) is the other entry point: it
+// runs the same descent, incumbent and Result builder from a
+// caller-supplied grouping and lets large states shard.
 
 // ErrInfeasible reports that no partitioning of the design fits the
 // budget — not even a single region sized for the largest configuration.
@@ -148,8 +150,9 @@ func Solve(d *design.Design, opts Options) (*Result, error) {
 }
 
 // SolveContext is Solve with cancellation: the context is checked at
-// candidate-set boundaries, so a cancelled or expired context stops the
-// search between set explorations and returns the context's error. A
+// candidate-set boundaries and between a descent's move vocabularies,
+// so a cancelled or expired context stops the search within one greedy
+// descent and returns the context's error. A
 // run that completes returns exactly what Solve would — cancellation
 // never changes a successful result, only whether one is produced.
 func SolveContext(ctx context.Context, d *design.Design, opts Options) (*Result, error) {
@@ -216,54 +219,45 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if workers < 1 || len(sets) <= 1 {
+		workers = 1
+	}
+	opts.Obs.Gauge("partition.workers").Observe(int64(workers))
 	stopSearch := opts.Obs.Timer("partition.phase.search").Time()
 	busy := opts.Obs.Timer("partition.worker_busy")
-	// runSet searches one candidate set with a per-worker scratch drawn
+	// Buffered and prefilled so workers never block handing out work.
+	jobs := make(chan int, len(sets))
+	for i := range sets {
+		jobs <- i
+	}
+	close(jobs)
+	// work is one worker: it searches candidate sets with a scratch drawn
 	// from scratchPool; the searcher itself is cheap, the scratch holds
 	// the buffers and caches worth keeping warm across sets and solves.
-	runSet := func(i int, sc *scratch) {
-		snaps[i], counts[i] = newSearcher(d, m, sets[i], opts, sc).run()
-	}
-	if workers <= 1 || len(sets) <= 1 {
-		opts.Obs.Gauge("partition.workers").Observe(1)
+	work := func() {
 		stopBusy := busy.Time()
+		defer stopBusy()
 		sc := getScratch()
-		for i := range sets {
+		defer putScratch(sc)
+		for i := range jobs {
 			if ctx.Err() != nil {
-				break
+				continue // drain without searching
 			}
-			runSet(i, sc)
+			s := newSearcher(d, m, sets[i], opts, sc)
+			s.ctx = ctx
+			snaps[i], counts[i] = s.run()
 		}
-		putScratch(sc)
-		stopBusy()
-	} else {
-		opts.Obs.Gauge("partition.workers").Observe(int64(workers))
-		// Buffered and prefilled so workers never block handing out
-		// work, and the producer never waits on a slow worker.
-		jobs := make(chan int, len(sets))
-		for i := range sets {
-			jobs <- i
-		}
-		close(jobs)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				stopBusy := busy.Time()
-				defer stopBusy()
-				sc := getScratch()
-				defer putScratch(sc)
-				for i := range jobs {
-					if ctx.Err() != nil {
-						continue // drain without searching
-					}
-					runSet(i, sc)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	stopSearch()
 	if err := ctx.Err(); err != nil {
 		opts.Obs.Emit("partition", "search.cancelled",
@@ -350,21 +344,7 @@ func bestResult(d *design.Design, opts Options, snaps []*snapshot, counts []int)
 	opts.Obs.Emit("partition", "search.done",
 		obs.Str("design", d.Name), obs.Int("states", int64(states)),
 		obs.Int("best_cost", best.cost), obs.Int("regions", int64(len(best.st.groups))))
-	sch, err := best.scheme("proposed")
-	if err != nil {
-		return nil, err
-	}
-	if err := sch.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: internal error: best scheme invalid: %w", err)
-	}
-	_, sum := cost.Evaluate(sch)
-	return &Result{
-		Scheme:        sch,
-		Summary:       sum,
-		CandidateSets: len(snaps),
-		States:        states,
-		Trace:         best.trace(),
-	}, nil
+	return best.result(len(snaps), states)
 }
 
 // group is one region under construction: a set of pairwise compatible
@@ -389,13 +369,6 @@ type group struct {
 	maskWord [1]uint64
 }
 
-// diffPairs is the number of configuration pairs whose transition
-// reconfigures the group: both sides active with different parts.
-func (g *group) diffPairs() int64 {
-	a := int64(g.active)
-	return (a*a - g.sumSq) / 2
-}
-
 // frameScale keeps quantised and idealised frame counts in a common
 // integer unit (1/20th of a frame).
 const frameScale = 20
@@ -405,6 +378,11 @@ type searcher struct {
 	cs   *cover.CandidateSet
 	opts Options
 	tab  *compat.Table
+	// ctx is checked between the move vocabularies of a descent (see
+	// descend); transfers is whether descents use transfer moves, false
+	// only on a refine level above refineTransferCap parts.
+	ctx       context.Context
+	transfers bool
 
 	partRes []resource.Vector // per part: raw resources
 	partAct []int             // per part: number of configs activating it
@@ -468,7 +446,7 @@ func checkWeights(w [][]float64, n int) error {
 }
 
 func newSearcher(d *design.Design, m *connmat.Matrix, cs *cover.CandidateSet, opts Options, sc *scratch) *searcher {
-	s := &searcher{d: d, cs: cs, opts: opts, sc: sc}
+	s := &searcher{d: d, cs: cs, opts: opts, sc: sc, ctx: context.Background(), transfers: true}
 	// Caches are reset per candidate set so cache-counter values are a
 	// pure function of the input, independent of how sets are spread
 	// over workers (the serial-vs-parallel obs-identity contract).

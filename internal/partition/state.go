@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"fmt"
 	"sort"
 
 	"prpart/internal/compat"
+	"prpart/internal/cost"
 	"prpart/internal/device"
 	"prpart/internal/resource"
 	"prpart/internal/scheme"
@@ -124,24 +126,19 @@ func (s *searcher) newGroup(parts ...int) *group {
 		g.active += s.partAct[pi]
 		g.sumSq += n * n
 	}
-	g.area = device.TilesToPrimitives(device.Tiles(g.res))
-	g.frames = s.searchFrames(g.res)
 	if s.weights != nil {
 		g.act = s.activation(parts)
-		g.contrib = g.frames * s.weightedDiff(g.act)
-	} else {
-		g.contrib = g.frames * g.diffPairs()
 	}
+	var e pairEntry
+	e, g.frames = s.groupCost(g.res, g.active, g.sumSq, g.act)
+	g.area, g.contrib = e.area, e.contrib
 	if n := len(s.d.Configurations); n <= 64 {
 		g.mask = g.maskWord[:]
 	} else {
 		g.mask = compat.NewMask(n)
 	}
 	for _, pi := range parts {
-		pm := s.tab.Mask(pi)
-		for w := range g.mask {
-			g.mask[w] |= pm[w]
-		}
+		g.mask.Or(s.tab.Mask(pi))
 	}
 	return g
 }
@@ -332,19 +329,67 @@ func (s *searcher) snap(st *state) *snapshot {
 // better orders snapshots by total reconfiguration cost, then total area,
 // then fewer regions.
 func (a *snapshot) better(b *snapshot) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	if at, bt := a.area.Total(), b.area.Total(); at != bt {
-		return at < bt
-	}
-	return len(a.st.groups) < len(b.st.groups)
+	return b.beatenBy(a.cost, a.area, len(a.st.groups))
 }
 
-// scheme materialises the snapshot as a validated scheme.Scheme.
-func (sn *snapshot) scheme(name string) (*scheme.Scheme, error) {
+// beatenBy reports whether a state with the given cost, area and region
+// count comes before sn in snapshot.better's order.
+func (sn *snapshot) beatenBy(cost int64, area resource.Vector, regions int) bool {
+	if cost != sn.cost {
+		return cost < sn.cost
+	}
+	if at, bt := area.Total(), sn.area.Total(); at != bt {
+		return at < bt
+	}
+	return regions < len(sn.st.groups)
+}
+
+// incumbent is the best feasible state a search has recorded, with the
+// number of states it was offered.
+type incumbent struct {
+	s      *searcher
+	best   *snapshot
+	states int
+}
+
+// record offers a visited state, cost-first: the comparison with the
+// incumbent runs on the running aggregates, and only a strictly better
+// feasible state is materialised with snap — losing states cost zero
+// allocations.
+func (in *incumbent) record(st *state) {
+	in.states++
+	if !in.s.feasible(st.area) {
+		return
+	}
+	if in.best != nil && !in.best.beatenBy(st.cost, st.area, len(st.groups)) {
+		in.s.sc.n.snapSkip++
+		return
+	}
+	in.best = in.s.snap(st)
+}
+
+// result materialises the snapshot as the search's Result: its scheme,
+// validated, with the scheme's Summary, the snapshot's trace, and the
+// given candidate-set and state counts.
+func (sn *snapshot) result(candidateSets, states int) (*Result, error) {
+	sch := sn.scheme()
+	if err := sch.Validate(); err != nil {
+		return nil, fmt.Errorf("partition: internal error: best scheme invalid: %w", err)
+	}
+	_, sum := cost.Evaluate(sch)
+	return &Result{
+		Scheme:        sch,
+		Summary:       sum,
+		CandidateSets: candidateSets,
+		States:        states,
+		Trace:         sn.trace(),
+	}, nil
+}
+
+// scheme materialises the snapshot as a scheme.Scheme named "proposed".
+func (sn *snapshot) scheme() *scheme.Scheme {
 	s := sn.s
-	out := &scheme.Scheme{Design: s.d, Name: name}
+	out := &scheme.Scheme{Design: s.d, Name: "proposed"}
 	// Deterministic region order: largest frame count first, then by
 	// first part index (matches the paper's PRR numbering style).
 	groups := append([]*group(nil), sn.st.groups...)
@@ -379,7 +424,7 @@ func (sn *snapshot) scheme(name string) (*scheme.Scheme, error) {
 		}
 		out.Active[ci] = row
 	}
-	return out, nil
+	return out
 }
 
 // trace renders the snapshot's move path with human-readable labels.
@@ -431,32 +476,8 @@ func (s *searcher) violation(area resource.Vector) int64 {
 // of states evaluated.
 func (s *searcher) run() (*snapshot, int) {
 	base := s.initial()
-	states := 0
-	var best *snapshot
-	// record registers a visited state, cost-first: the incumbent
-	// comparison runs on the running aggregates (the same ordering
-	// snapshot.better applies) and only a strictly better state is
-	// materialised with snap — losing states cost zero allocations.
-	record := func(st *state) {
-		states++
-		if !s.feasible(st.area) {
-			return
-		}
-		if best != nil {
-			if st.cost > best.cost {
-				s.sc.n.snapSkip++
-				return
-			}
-			if st.cost == best.cost {
-				at, bt := st.area.Total(), best.area.Total()
-				if at > bt || (at == bt && len(st.groups) >= len(best.st.groups)) {
-					s.sc.n.snapSkip++
-					return
-				}
-			}
-		}
-		best = s.snap(st)
-	}
+	in := incumbent{s: s}
+	record := in.record
 	record(base)
 
 	// Seed the one-module-per-region grouping when the candidate set is
@@ -501,14 +522,16 @@ func (s *searcher) run() (*snapshot, int) {
 		}
 	}
 	s.flushCounts()
-	return best, states
+	return in.best, in.states
 }
 
 // descend runs the greedy policy from st under several move vocabularies:
 // each extra move family (static promotion, transfers) can steer the
 // descent onto a worse trajectory as easily as a better one, so the
 // restricted descents keep the smaller search spaces covered and the
-// recorded-state set grows monotonically with each family.
+// recorded-state set grows monotonically with each family. Transfers
+// are left out when s.transfers is off, and a cancelled s.ctx stops the
+// descent before its next pair of vocabularies.
 func (s *searcher) descend(st *state, record func(*state)) {
 	statics := [...]bool{false, true}
 	n := len(statics)
@@ -516,8 +539,13 @@ func (s *searcher) descend(st *state, record func(*state)) {
 		n = 1
 	}
 	for _, withStatic := range statics[:n] {
+		if s.ctx.Err() != nil {
+			return
+		}
 		s.greedy(st, withStatic, false, record)
-		s.greedy(st, withStatic, true, record)
+		if s.transfers {
+			s.greedy(st, withStatic, true, record)
+		}
 	}
 }
 

@@ -444,9 +444,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		drained <- srv.Shutdown(ctx)
 	}()
 
-	// New work is refused while draining.
+	// New work is refused while draining. A probe admitted before the
+	// drain began joins the blocked in-flight solve, so each probe gives
+	// up after a short client timeout: its waiter leaves the flight and
+	// the next probe tries again.
+	probe := &http.Client{Timeout: 200 * time.Millisecond}
 	waitCond(t, func() bool {
-		resp, _ := post(t, ts, body)
+		resp, err := probe.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
 		return resp.StatusCode == http.StatusServiceUnavailable
 	})
 

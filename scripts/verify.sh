@@ -10,7 +10,8 @@
 #         always pass (ROADMAP gate), plus go vet + go test of the
 #         perfbench benchmark module
 # Tier 2  go vet + go test -race         — static checks and race detection,
-#         plus a 1-iteration Solve benchmark smoke run
+#         plus a 1-iteration Solve benchmark smoke run, the serving
+#         layer twice more, and the job-retention and drain tests x20
 
 # Tier 3  go test -run 'Fault|Differential|Determinism' -count=5
 #         — re-runs the seeded fault-injection tests, the differential
@@ -93,6 +94,12 @@ if [ "$1" = "all" ]; then
 	# pool, singleflight, LRU, drain); run it twice under the detector so
 	# scheduling-dependent races get a second chance to appear.
 	go test -race -count=2 ./internal/serve/ ./cmd/prpartd/ ./cmd/prpart/
+
+	echo "== tier 2: retention-order and drain stress (x20) =="
+	# Two tests that once failed only under load: a job evicted by
+	# retention must never be live once Done fires, and a drain probe
+	# admitted before the drain must not hang the in-flight solve.
+	go test -race -count=20 -run 'TestJobPersistAndLoad|TestGracefulShutdownDrains' ./internal/jobs/ ./internal/serve/
 
 	echo "== tier 3: fault-injection, differential and determinism re-runs (x5) =="
 	go test -run 'Fault|Differential|Determinism' -count=5 \
