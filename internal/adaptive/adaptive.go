@@ -195,13 +195,6 @@ func (m *Manager) Current() int {
 	return m.current
 }
 
-// Loaded returns the part currently held by region ri (-1 if unknown).
-func (m *Manager) Loaded(ri int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.loaded[ri]
-}
-
 // Stats returns a copy of the accumulated statistics.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

@@ -337,3 +337,10 @@ func TestSwitchFailureLeavesConsistentState(t *testing.T) {
 		t.Error("manager did not recover")
 	}
 }
+
+// Loaded returns the part currently held by region ri (-1 if unknown).
+func (m *Manager) Loaded(ri int) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.loaded[ri]
+}

@@ -57,17 +57,6 @@ func checkStochastic(p [][]float64) error {
 	return nil
 }
 
-// Replay drives the manager through an explicit configuration sequence,
-// returning the cumulative statistics. Consecutive repeats cost nothing.
-func Replay(m *Manager, seq []int) (Stats, error) {
-	for _, c := range seq {
-		if _, err := m.SwitchTo(c); err != nil {
-			return m.Stats(), err
-		}
-	}
-	return m.Stats(), nil
-}
-
 // EstimateWeights builds a transition-weight matrix from an observed
 // configuration sequence: entry [i][j] is the empirical frequency of the
 // i→j switch among all switches (self-loops excluded). The result is

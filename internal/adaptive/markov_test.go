@@ -253,3 +253,14 @@ func TestPrefetchNeverTouchesLiveRegions(t *testing.T) {
 		t.Error("out-of-range prefetch accepted")
 	}
 }
+
+// Replay drives the manager through an explicit configuration sequence,
+// returning the cumulative statistics. Consecutive repeats cost nothing.
+func Replay(m *Manager, seq []int) (Stats, error) {
+	for _, c := range seq {
+		if _, err := m.SwitchTo(c); err != nil {
+			return m.Stats(), err
+		}
+	}
+	return m.Stats(), nil
+}

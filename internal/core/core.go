@@ -204,7 +204,7 @@ func (r *Result) backend(opts Options) error {
 		return err
 	}
 	r.Plan = plan
-	wraps, err := wrapper.Generate(r.Scheme, nil)
+	wraps, err := wrapper.Generate(r.Scheme)
 	if err != nil {
 		return err
 	}

@@ -32,16 +32,6 @@ type Module struct {
 	Modes []Mode
 }
 
-// Largest returns the per-resource maximum over the module's modes: the
-// region size the one-module-per-region baseline must reserve for it.
-func (m *Module) Largest() resource.Vector {
-	var v resource.Vector
-	for _, md := range m.Modes {
-		v = v.Max(md.Resources)
-	}
-	return v
-}
-
 // Sum returns the element-wise sum over the module's modes: the area a
 // fully static implementation pays for it.
 func (m *Module) Sum() resource.Vector {

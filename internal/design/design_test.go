@@ -73,6 +73,51 @@ func TestStaticSum(t *testing.T) {
 	}
 }
 
+// TestVideoReceiverTable2 pins the case study's 13 IP-core utilisations
+// against a second transcription of the paper's Table II: every mode but
+// the empty recovery mode R.None is one row.
+func TestVideoReceiverTable2(t *testing.T) {
+	table2 := map[string]resource.Vector{
+		"F.Filter1": resource.New(818, 0, 28), // Matched Filter
+		"F.Filter2": resource.New(500, 0, 34),
+		"R.Fine":    resource.New(318, 1, 13), // Recovery
+		"R.Coarse1": resource.New(195, 1, 5),
+		"R.Coarse2": resource.New(123, 0, 8),
+		"M.BPSK":    resource.New(50, 0, 2), // Demodulator
+		"M.QPSK":    resource.New(97, 0, 4),
+		"D.Viterbi": resource.New(630, 2, 0), // Decoder (FEC)
+		"D.Turbo":   resource.New(748, 15, 4),
+		"D.DPC":     resource.New(234, 2, 0),
+		"V.MPEG4":   resource.New(4700, 40, 65), // Decoder (video)
+		"V.MPEG2":   resource.New(4558, 16, 32),
+		"V.JPEG":    resource.New(2780, 6, 9),
+	}
+	seen := 0
+	for _, m := range VideoReceiver().Modules {
+		for _, md := range m.Modes {
+			key := m.Name + "." + md.Name
+			if key == "R.None" {
+				if !md.Resources.IsZero() {
+					t.Errorf("R.None = %v, want zero", md.Resources)
+				}
+				continue
+			}
+			v, ok := table2[key]
+			if !ok {
+				t.Errorf("%s not in Table II", key)
+				continue
+			}
+			seen++
+			if md.Resources != v {
+				t.Errorf("%s = %v, Table II %v", key, md.Resources, v)
+			}
+		}
+	}
+	if seen != len(table2) {
+		t.Errorf("design has %d of Table II's %d IP cores", seen, len(table2))
+	}
+}
+
 func TestModuleLargestSum(t *testing.T) {
 	d := VideoReceiver()
 	v := d.Modules[4] // video decoder
@@ -227,4 +272,14 @@ func (d *Design) SortConfigurations() {
 		}
 		return false
 	})
+}
+
+// Largest returns the per-resource maximum over the module's modes: the
+// region size the one-module-per-region baseline must reserve for it.
+func (m *Module) Largest() resource.Vector {
+	var v resource.Vector
+	for _, md := range m.Modes {
+		v = v.Max(md.Resources)
+	}
+	return v
 }

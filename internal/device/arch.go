@@ -17,11 +17,7 @@
 //     of configuration memory.
 package device
 
-import (
-	"fmt"
-
-	"prpart/internal/resource"
-)
+import "prpart/internal/resource"
 
 // Architecture constants for the Virtex-5 family (UG191).
 const (
@@ -47,20 +43,6 @@ const (
 	// BitsPerFrame is the number of bits in one frame.
 	BitsPerFrame = WordsPerFrame * 32
 )
-
-// PrimitivesPerTile returns how many primitives of kind k fit in one tile
-// of that kind.
-func PrimitivesPerTile(k resource.Kind) int {
-	switch k {
-	case resource.CLB:
-		return CLBsPerTile
-	case resource.BRAM:
-		return BRAMsPerTile
-	case resource.DSP:
-		return DSPsPerTile
-	}
-	panic(fmt.Sprintf("device: invalid kind %d", int(k)))
-}
 
 // Tiles quantises a raw resource requirement into whole tiles per kind:
 // the paper's eqs. (3)-(5). Partial tiles are always rounded up, because

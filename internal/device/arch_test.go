@@ -150,3 +150,17 @@ func FramesPerTile(k resource.Kind) int {
 func FrameBytes(frames int) int {
 	return frames * WordsPerFrame * 4
 }
+
+// PrimitivesPerTile returns how many primitives of kind k fit in one tile
+// of that kind.
+func PrimitivesPerTile(k resource.Kind) int {
+	switch k {
+	case resource.CLB:
+		return CLBsPerTile
+	case resource.BRAM:
+		return BRAMsPerTile
+	case resource.DSP:
+		return DSPsPerTile
+	}
+	panic(fmt.Sprintf("device: invalid kind %d", int(k)))
+}

@@ -39,7 +39,7 @@ func pipeline(t *testing.T, s *scheme.Scheme, dev *device.Device) *bitstream.Set
 	if err := ucf.Generate(&u, s, plan, ucf.Constraints{ClockName: "clk", ClockMHz: 100}); err != nil {
 		t.Fatalf("ucf: %v", err)
 	}
-	ws, err := wrapper.Generate(s, nil)
+	ws, err := wrapper.Generate(s)
 	if err != nil {
 		t.Fatalf("wrapper: %v", err)
 	}

@@ -327,9 +327,6 @@ func (m *ConfigMemory) ReadFrame(far bitstream.FAR, minor int) []uint32 {
 	return append([]uint32(nil), f...)
 }
 
-// FrameCount returns the number of distinct frames ever written.
-func (m *ConfigMemory) FrameCount() int { return len(m.frames) }
-
 // FlipBit inverts one bit of a stored frame — the configuration-memory
 // upset (SEU) model behind injected post-load faults and scrubbing tests.
 // Never-written frames are left untouched.

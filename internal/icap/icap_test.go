@@ -254,3 +254,6 @@ func TestStorageFetchTime(t *testing.T) {
 		t.Errorf("String = %q", out)
 	}
 }
+
+// FrameCount returns the number of distinct frames ever written.
+func (m *ConfigMemory) FrameCount() int { return len(m.frames) }

@@ -1,9 +1,8 @@
 // Package netlist provides the minimal structural netlist representation
-// shared by the synthesis estimator (internal/synth), the wrapper
-// generator (internal/wrapper) and the floorplanner: modules with ports,
-// primitive instances and nets. It is deliberately small — just enough to
-// stand in for the vendor netlist formats in the automated tool flow
-// (§III-B steps 3-4).
+// shared by the wrapper generator (internal/wrapper) and the artifact
+// checker (internal/check): modules with ports, primitive instances and
+// nets. It is deliberately small — just enough to stand in for the
+// vendor netlist formats in the automated tool flow (§III-B steps 3-4).
 package netlist
 
 import (
@@ -11,8 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"prpart/internal/resource"
 )
 
 // PortDir is the direction of a module port.
@@ -44,8 +41,7 @@ type Port struct {
 type Primitive int
 
 const (
-	// LUT and FF map to CLB resources (a Virtex-5 CLB holds 8 LUT/FF
-	// pairs across two slices in this simplified model).
+	// LUT is a look-up table.
 	LUT Primitive = iota
 	// FF is a flip-flop.
 	FF
@@ -56,10 +52,6 @@ const (
 	// SubModule is an instance of another netlist module.
 	SubModule
 )
-
-// lutFFPerCLB is the LUT/FF pair capacity per CLB used when folding
-// primitive counts into CLB counts.
-const lutFFPerCLB = 8
 
 // Instance is one primitive or sub-module instantiation.
 type Instance struct {
@@ -189,39 +181,6 @@ func (m *Module) Count(p Primitive) int {
 		}
 	}
 	return n
-}
-
-// Resources estimates the device resources of a module hierarchy rooted
-// at name: LUT/FF pairs fold into CLBs, BRAM and DSP primitives count
-// directly. Shared sub-modules are counted once per instantiation.
-func (d *Design) Resources(name string) (resource.Vector, error) {
-	m, ok := d.Modules[name]
-	if !ok {
-		return resource.Vector{}, fmt.Errorf("netlist: module %q not defined", name)
-	}
-	luts, ffs := m.Count(LUT), m.Count(FF)
-	pairs := luts
-	if ffs > pairs {
-		pairs = ffs
-	}
-	v := resource.New(ceilDiv(pairs, lutFFPerCLB), m.Count(BRAMPrim), m.Count(DSPPrim))
-	for _, inst := range m.Instances {
-		if inst.Prim == SubModule {
-			sub, err := d.Resources(inst.Of)
-			if err != nil {
-				return resource.Vector{}, err
-			}
-			v = v.Add(sub)
-		}
-	}
-	return v, nil
-}
-
-func ceilDiv(a, b int) int {
-	if a <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
 }
 
 // Verilog renders the module as synthesisable-looking Verilog. Primitive

@@ -3,8 +3,6 @@ package netlist
 import (
 	"strings"
 	"testing"
-
-	"prpart/internal/resource"
 )
 
 func sampleDesign() *Design {
@@ -76,29 +74,6 @@ func TestValidateCycle(t *testing.T) {
 	d.AddModule(&Module{Name: "b", Instances: []Instance{{Name: "v", Prim: SubModule, Of: "a"}}})
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestResources(t *testing.T) {
-	d := sampleDesign()
-	// mac: max(20 LUT, 10 FF) = 20 pairs -> ceil(20/8) = 3 CLB, 1 BRAM, 1 DSP.
-	got, err := d.Resources("mac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != resource.New(3, 1, 1) {
-		t.Errorf("mac resources = %v, want {3,1,1}", got)
-	}
-	// top: two macs.
-	got, err = d.Resources("top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != resource.New(6, 2, 2) {
-		t.Errorf("top resources = %v, want {6,2,2}", got)
-	}
-	if _, err := d.Resources("ghost"); err == nil {
-		t.Error("Resources of undefined module should fail")
 	}
 }
 

@@ -42,7 +42,7 @@ type WarmStart struct {
 	Static []int
 }
 
-// RefineOutcome is the result of a Refine run.
+// RefineOutcome is the result of a RefineContext run.
 type RefineOutcome struct {
 	// Result is the best feasible scheme found, or nil when no visited
 	// state fit the budget (the caller decides whether that is an error;
@@ -68,11 +68,6 @@ type RefineOutcome struct {
 // static promotions, which stay near-linear. Coarser levels (where
 // moves matter most) are always under the cap.
 const refineTransferCap = 2048
-
-// Refine runs a warm-started greedy refinement. See RefineContext.
-func Refine(d *design.Design, ws WarmStart, opts Options) (*RefineOutcome, error) {
-	return RefineContext(context.Background(), d, ws, opts)
-}
 
 // RefineContext improves a caller-supplied grouping of caller-supplied
 // candidate parts by greedy descent, using the same incremental move

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -119,4 +120,9 @@ func TestRefineWorkersDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Refine runs a warm-started greedy refinement. See RefineContext.
+func Refine(d *design.Design, ws WarmStart, opts Options) (*RefineOutcome, error) {
+	return RefineContext(context.Background(), d, ws, opts)
 }

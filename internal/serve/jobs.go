@@ -105,16 +105,27 @@ func (s *Server) runJobSolve(ctx context.Context, req *solveReq) (body []byte, s
 	}
 	sctx, shed := context.WithCancelCause(call.ctx)
 	defer shed(nil)
+	// The job's end counts as a withdrawal only while the flight is
+	// unpublished, the rule await applies: a solve published before the
+	// deadline fired is served rather than turned into a 504.
+	withdrawn := make(chan bool, 1)
 	stop := context.AfterFunc(ctx, func() {
 		if errors.Is(context.Cause(ctx), jobs.ErrShed) {
 			shed(jobs.ErrShed)
-		} else {
+			withdrawn <- false
+			return
+		}
+		select {
+		case <-call.done:
+			withdrawn <- false
+		default:
 			s.flight.leave(call)
+			withdrawn <- true
 		}
 	})
 	s.runLeader(sctx, req, call)
-	if !stop() && !errors.Is(context.Cause(ctx), jobs.ErrShed) {
-		return nil, errStatus(ctx.Err()), ctx.Err() // the job was withdrawn
+	if !stop() && <-withdrawn {
+		return nil, errStatus(ctx.Err()), ctx.Err()
 	}
 	return call.body, call.status, call.err
 }

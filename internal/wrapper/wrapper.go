@@ -22,16 +22,14 @@ type Set struct {
 	Regions [][]*netlist.Module
 	// Static is the wrapper for promoted static parts (nil when none).
 	Static *netlist.Module
-	// Blackboxes holds the referenced mode netlists (stubs when the
-	// caller supplied none).
+	// Blackboxes holds the black-box stubs of the member modes.
 	Blackboxes map[string]*netlist.Module
 }
 
-// Generate builds wrappers for every region variant of a scheme. The
-// mode netlists may be supplied in nets (keyed by mode reference);
-// missing entries get interface-compatible black-box stubs, as the
-// vendor flow would when synthesis runs later.
-func Generate(s *scheme.Scheme, nets map[design.ModeRef]*netlist.Module) (*Set, error) {
+// Generate builds wrappers for every region variant of a scheme. Every
+// member mode gets an interface-compatible black-box stub, as the vendor
+// flow would when synthesis runs later.
+func Generate(s *scheme.Scheme) (*Set, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("wrapper: scheme invalid: %w", err)
 	}
@@ -39,7 +37,7 @@ func Generate(s *scheme.Scheme, nets map[design.ModeRef]*netlist.Module) (*Set, 
 	for ri := range s.Regions {
 		var regionWrappers []*netlist.Module
 		for pi, part := range s.Regions[ri].Parts {
-			w, err := out.wrap(s.Design, fmt.Sprintf("prr%d_p%d", ri+1, pi), part, nets)
+			w, err := out.wrap(s.Design, fmt.Sprintf("prr%d_p%d", ri+1, pi), part)
 			if err != nil {
 				return nil, err
 			}
@@ -49,7 +47,7 @@ func Generate(s *scheme.Scheme, nets map[design.ModeRef]*netlist.Module) (*Set, 
 	}
 	if len(s.Static) > 0 {
 		merged := basepart.BasePartition{Set: s.StaticSet()}
-		w, err := out.wrap(s.Design, "static_modes", merged, nets)
+		w, err := out.wrap(s.Design, "static_modes", merged)
 		if err != nil {
 			return nil, err
 		}
@@ -60,9 +58,7 @@ func Generate(s *scheme.Scheme, nets map[design.ModeRef]*netlist.Module) (*Set, 
 
 // wrap builds one wrapper module instantiating the part's modes behind a
 // 33-bit output mux (32 data + valid) driven by the mode-select input.
-func (set *Set) wrap(d *design.Design, name string, part basepart.BasePartition,
-	nets map[design.ModeRef]*netlist.Module) (*netlist.Module, error) {
-
+func (set *Set) wrap(d *design.Design, name string, part basepart.BasePartition) (*netlist.Module, error) {
 	refs := part.Set.Refs()
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("wrapper: %s: empty base partition", name)
@@ -80,10 +76,7 @@ func (set *Set) wrap(d *design.Design, name string, part basepart.BasePartition,
 		},
 	}
 	for i, r := range refs {
-		sub := nets[r]
-		if sub == nil {
-			sub = stub(d, r)
-		}
+		sub := stub(d, r)
 		set.Blackboxes[sub.Name] = sub
 		dataNet := fmt.Sprintf("u%d_data", i)
 		validNet := fmt.Sprintf("u%d_valid", i)
@@ -117,8 +110,7 @@ func (set *Set) wrap(d *design.Design, name string, part basepart.BasePartition,
 	return m, nil
 }
 
-// stub builds an interface-compatible black-box for a mode with no
-// supplied netlist.
+// stub builds an interface-compatible black-box for a mode.
 func stub(d *design.Design, r design.ModeRef) *netlist.Module {
 	return &netlist.Module{
 		Name: sanitize(d.ModeName(r)),

@@ -8,7 +8,6 @@ import (
 	"prpart/internal/design"
 	"prpart/internal/netlist"
 	"prpart/internal/partition"
-	"prpart/internal/synth"
 )
 
 var (
@@ -31,7 +30,7 @@ func caseStudyScheme(t *testing.T) *partition.Result {
 
 func TestGenerateCaseStudy(t *testing.T) {
 	res := caseStudyScheme(t)
-	set, err := Generate(res.Scheme, nil)
+	set, err := Generate(res.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestGenerateCaseStudy(t *testing.T) {
 
 func TestWrapperStructure(t *testing.T) {
 	res := caseStudyScheme(t)
-	set, err := Generate(res.Scheme, nil)
+	set, err := Generate(res.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,52 +70,9 @@ func TestWrapperStructure(t *testing.T) {
 	}
 }
 
-func TestGenerateWithSynthesizedNetlists(t *testing.T) {
-	res := caseStudyScheme(t)
-	d := res.Scheme.Design
-	lib := synth.NewLibrary()
-	keys := map[string]string{
-		"F": "MatchedFilter", "R": "Recovery", "M": "Demodulator",
-		"D": "Decoder", "V": "Video",
-	}
-	nets := map[design.ModeRef]*netlist.Module{}
-	for mi, m := range d.Modules {
-		for ki, md := range m.Modes {
-			if m.Name == "R" && md.Name == "None" {
-				continue
-			}
-			sr, err := synth.Synthesize(synth.IPCore{Name: keys[m.Name] + "/" + md.Name, Lib: lib})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nets[design.ModeRef{Module: mi, Mode: ki + 1}] = sr.Netlist
-		}
-	}
-	set, err := Generate(res.Scheme, nets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, err := set.Netlist()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nd.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The assembled netlist's resources must cover the scheme's raw
-	// maxima (each wrapper instantiates real mode netlists).
-	v, err := nd.Resources("pr_top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.CLB == 0 || v.DSP == 0 {
-		t.Errorf("assembled netlist suspiciously empty: %v", v)
-	}
-}
-
 func TestNetlistValidates(t *testing.T) {
 	res := caseStudyScheme(t)
-	set, err := Generate(res.Scheme, nil)
+	set, err := Generate(res.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +87,7 @@ func TestNetlistValidates(t *testing.T) {
 
 func TestVerilogOutput(t *testing.T) {
 	res := caseStudyScheme(t)
-	set, err := Generate(res.Scheme, nil)
+	set, err := Generate(res.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +113,7 @@ func TestGenerateRejectsInvalidScheme(t *testing.T) {
 	res := caseStudyScheme(t)
 	bad := *res.Scheme
 	bad.Active = bad.Active[:1]
-	if _, err := Generate(&bad, nil); err == nil {
+	if _, err := Generate(&bad); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }

@@ -95,11 +95,13 @@ if [ "$1" = "all" ]; then
 	# scheduling-dependent races get a second chance to appear.
 	go test -race -count=2 ./internal/serve/ ./cmd/prpartd/ ./cmd/prpart/
 
-	echo "== tier 2: retention-order and drain stress (x20) =="
+	echo "== tier 2: retention-order, drain and job-withdrawal stress (x20) =="
 	# Two tests that once failed only under load: a job evicted by
 	# retention must never be live once Done fires, and a drain probe
-	# admitted before the drain must not hang the in-flight solve.
-	go test -race -count=20 -run 'TestJobPersistAndLoad|TestGracefulShutdownDrains' ./internal/jobs/ ./internal/serve/
+	# admitted before the drain must not hang the in-flight solve. The
+	# last two pin a job's withdrawal from a flight it leads: a DELETE
+	# cancels the job alone, its own deadline records 504.
+	go test -race -count=20 -run 'TestJobPersistAndLoad|TestGracefulShutdownDrains|TestJobOwnTimeoutIs504|TestFollowerOutlivesJobCancel' ./internal/jobs/ ./internal/serve/
 
 	echo "== tier 3: fault-injection, differential and determinism re-runs (x5) =="
 	go test -run 'Fault|Differential|Determinism' -count=5 \
