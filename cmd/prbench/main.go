@@ -179,7 +179,6 @@ func (e *env) sweep() ([]*experiments.Outcome, error) {
 		return nil, err
 	}
 	e.sweepNs = time.Since(start).Nanoseconds()
-	fmt.Fprintf(e.out, "[sweep: %d designs in %v]\n", len(outs), time.Since(start).Round(time.Millisecond))
 	e.outs = outs
 	e.sweepOnce = true
 	return outs, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"prpart/internal/design"
+	"prpart/internal/obs"
 	"prpart/internal/serve"
 	"prpart/internal/spec"
 )
@@ -40,7 +41,8 @@ func TestServeE2EByteIdentity(t *testing.T) {
 
 	// Boot the serving stack on a real ephemeral listener, exactly as
 	// prpartd wires it.
-	srv := serve.New(serve.Config{})
+	o := obs.New()
+	srv := serve.New(serve.Config{Obs: o})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -95,7 +97,7 @@ func TestServeE2EByteIdentity(t *testing.T) {
 	if !bytes.Equal(http1, http2) {
 		t.Error("cached body differs from first body")
 	}
-	if got := srv.Obs().Snapshot().Counters["serve.solves"]; got != 1 {
+	if got := o.Snapshot().Counters["serve.solves"]; got != 1 {
 		t.Errorf("solves = %d, want exactly 1 (second served from cache)", got)
 	}
 }

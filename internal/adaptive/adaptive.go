@@ -395,24 +395,6 @@ func (m *Manager) Prefetch(config int) (time.Duration, error) {
 	return total, nil
 }
 
-// PredictedFrames returns the pairwise cost-model estimate for the
-// transition from -> to: the frames of every region both configurations
-// activate with different parts. The realised cost of SwitchTo can exceed
-// this when a region was left in a third state by earlier don't-care
-// transitions; it never falls below it.
-func (m *Manager) PredictedFrames(from, to int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := 0
-	for ri := range m.sch.Regions {
-		a, b := m.sch.Active[from][ri], m.sch.Active[to][ri]
-		if a != scheme.Inactive && b != scheme.Inactive && a != b {
-			t += m.sch.Regions[ri].Frames()
-		}
-	}
-	return t
-}
-
 // Event is one environmental observation driving adaptation.
 type Event struct {
 	// Time is the observation timestamp (informational).

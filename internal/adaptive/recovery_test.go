@@ -92,7 +92,7 @@ func TestFaultRetryExhaustionFallsBack(t *testing.T) {
 	if ri < 0 {
 		t.Fatal("no region changes between configs 0 and 3")
 	}
-	base := inj.Loads()
+	base := inj.Stats().Loads
 	for a := 0; a <= maxRetries; a++ {
 		inj.ScheduleAt(base+a, faults.BitFlip)
 	}
@@ -139,7 +139,7 @@ func TestFaultExhaustionWithoutSafeConfigFails(t *testing.T) {
 		t.Fatal("no region changes between configs 0 and 3")
 	}
 	was := m.Loaded(ri)
-	base := inj.Loads()
+	base := inj.Stats().Loads
 	for a := 0; a <= maxRetries; a++ {
 		inj.ScheduleAt(base+a, faults.BitFlip)
 	}
@@ -238,7 +238,7 @@ func TestFaultPrefetchSkipsFailedRegion(t *testing.T) {
 	if _, err := m.SwitchTo(0); err != nil {
 		t.Fatal(err)
 	}
-	base := inj.Loads()
+	base := inj.Stats().Loads
 	for a := 0; a < 2; a++ {
 		inj.ScheduleAt(base+a, faults.BitFlip)
 	}

@@ -32,16 +32,6 @@ type Module struct {
 	Modes []Mode
 }
 
-// Sum returns the element-wise sum over the module's modes: the area a
-// fully static implementation pays for it.
-func (m *Module) Sum() resource.Vector {
-	var v resource.Vector
-	for _, md := range m.Modes {
-		v = v.Add(md.Resources)
-	}
-	return v
-}
-
 // Configuration is one valid operating state: for every module, the
 // 1-based index of the active mode, or 0 when the module is absent
 // (the paper's "mode 0").

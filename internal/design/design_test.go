@@ -283,3 +283,13 @@ func (m *Module) Largest() resource.Vector {
 	}
 	return v
 }
+
+// Sum returns the element-wise sum over the module's modes: the area a
+// fully static implementation pays for it.
+func (m *Module) Sum() resource.Vector {
+	var v resource.Vector
+	for _, md := range m.Modes {
+		v = v.Add(md.Resources)
+	}
+	return v
+}

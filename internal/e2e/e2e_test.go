@@ -144,7 +144,7 @@ func TestFullPipelineOverSyntheticCorpus(t *testing.T) {
 			}
 			realised := mgr.Stats().Frames - before
 			if prev >= 0 {
-				if want := mgr.PredictedFrames(prev, target); realised < want {
+				if want := m[prev][target]; realised < want {
 					t.Errorf("%s: transition %d->%d realised %d < predicted %d",
 						d.Name, prev, target, realised, want)
 				}

@@ -16,6 +16,7 @@ import (
 
 	"prpart/internal/core"
 	"prpart/internal/design"
+	"prpart/internal/obs"
 	"prpart/internal/partition"
 	"prpart/internal/resource"
 	"prpart/internal/serve"
@@ -87,7 +88,8 @@ func TestRemoteBatchSweepParity(t *testing.T) {
 	}
 	designs, local := referenceSweep(t)
 
-	srv := serve.New(serve.Config{Workers: 8})
+	o := obs.New()
+	srv := serve.New(serve.Config{Workers: 8, Obs: o})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -106,7 +108,7 @@ func TestRemoteBatchSweepParity(t *testing.T) {
 	}
 
 	// The daemon saw batched traffic, not 100 lone solves.
-	snap := srv.Obs().Snapshot()
+	snap := o.Snapshot()
 	if snap.Counters["serve.batches"] == 0 {
 		t.Error("no /v1/solve/batch requests reached the daemon")
 	}
@@ -255,7 +257,8 @@ func TestRemoteAsyncSweepSurvivesRestart(t *testing.T) {
 // TestRemoteAsyncSingleSolve exercises the submit/poll/fetch path
 // without chaos: one design, metric-identical to the library call.
 func TestRemoteAsyncSingleSolve(t *testing.T) {
-	srv := serve.New(serve.Config{Workers: 2})
+	o := obs.New()
+	srv := serve.New(serve.Config{Workers: 2, Obs: o})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -271,7 +274,7 @@ func TestRemoteAsyncSingleSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertOutcomesIdentical(t, []*Outcome{remote}, []*Outcome{local}, "async single")
-	if n := srv.Obs().Snapshot().Counters["serve.jobs_submitted"]; n == 0 {
+	if n := o.Snapshot().Counters["serve.jobs_submitted"]; n == 0 {
 		t.Error("no async jobs reached the daemon")
 	}
 }
@@ -372,9 +375,11 @@ func TestRemoteBatchMemberRetryHonoursRetryAfter(t *testing.T) {
 // failure after one submission instead of resubmitting the job until
 // its failure budget runs out.
 func TestRemoteAsyncJobTimeoutNotResubmitted(t *testing.T) {
+	o := obs.New()
 	srv := serve.New(serve.Config{
 		Workers:        1,
 		DefaultTimeout: time.Millisecond,
+		Obs:            o,
 		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
 			<-ctx.Done() // slower than any deadline
 			return nil, ctx.Err()
@@ -390,7 +395,7 @@ func TestRemoteAsyncJobTimeoutNotResubmitted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "status 504") {
 		t.Fatalf("timed-out job: err = %v, want a status 504 failure", err)
 	}
-	if n := srv.Obs().Snapshot().Counters["serve.jobs_submitted"]; n != 1 {
+	if n := o.Snapshot().Counters["serve.jobs_submitted"]; n != 1 {
 		t.Errorf("job submitted %d times, want 1", n)
 	}
 }

@@ -17,7 +17,6 @@
 package faults
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -40,23 +39,6 @@ const (
 	// readback verification notices.
 	SEU
 )
-
-// String names the fault kind.
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case BitFlip:
-		return "bit-flip"
-	case Truncate:
-		return "truncate"
-	case FetchFail:
-		return "fetch-fail"
-	case SEU:
-		return "seu"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
 
 // Decision is the injector's plan for one load.
 type Decision struct {
@@ -116,7 +98,6 @@ type Injector struct {
 	rng   *rand.Rand
 	rates Rates
 	sched map[int]Kind
-	loads int
 	stats Stats
 }
 
@@ -135,9 +116,6 @@ func (in *Injector) ScheduleAt(n int, k Kind) {
 	in.sched[n] = k
 }
 
-// Loads returns the number of loads planned so far.
-func (in *Injector) Loads() int { return in.loads }
-
 // Stats returns a copy of the injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
@@ -146,8 +124,7 @@ func (in *Injector) Stats() Stats { return in.stats }
 // several classes would fire, the earliest in the transfer pipeline wins
 // (fetch, then truncation, then bit flip, then upset).
 func (in *Injector) PlanLoad(payloadWords int) Decision {
-	n := in.loads
-	in.loads++
+	n := in.stats.Loads
 	in.stats.Loads++
 	if payloadWords < 1 {
 		payloadWords = 1

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -158,4 +159,21 @@ func TestFaultHitDistribution(t *testing.T) {
 	if in.hit(10, 1) != 0 {
 		t.Error("p=1 must hit the first word")
 	}
+}
+
+// String names the fault kind.
+func (k Kind) String() string {
+	switch k {
+	case None:
+		return "none"
+	case BitFlip:
+		return "bit-flip"
+	case Truncate:
+		return "truncate"
+	case FetchFail:
+		return "fetch-fail"
+	case SEU:
+		return "seu"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }

@@ -31,21 +31,6 @@ const (
 	OpRename
 )
 
-// String names the operation.
-func (op IOOp) String() string {
-	switch op {
-	case OpWrite:
-		return "write"
-	case OpRead:
-		return "read"
-	case OpSync:
-		return "sync"
-	case OpRename:
-		return "rename"
-	}
-	return fmt.Sprintf("IOOp(%d)", int(op))
-}
-
 // IOKind enumerates the I/O fault classes.
 type IOKind int
 
@@ -150,7 +135,6 @@ type IOInjector struct {
 	rng   *rand.Rand
 	rates IORates
 	sched map[int]IOKind
-	ops   int
 	stats IOStats
 }
 
@@ -173,13 +157,6 @@ func (in *IOInjector) ScheduleOp(n int, k IOKind) {
 		in.sched = map[int]IOKind{}
 	}
 	in.sched[n] = k
-}
-
-// Ops returns the number of operations planned so far.
-func (in *IOInjector) Ops() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
 }
 
 // Stats returns a copy of the injection counters.
@@ -214,8 +191,7 @@ func applicable(op IOOp, k IOKind) bool {
 func (in *IOInjector) PlanOp(op IOOp, size int) IODecision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	n := in.ops
-	in.ops++
+	n := in.stats.Ops
 	in.stats.Ops++
 	if size < 1 {
 		size = 1

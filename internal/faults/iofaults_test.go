@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -105,4 +106,19 @@ func TestIOReadCorruptBitBounded(t *testing.T) {
 			t.Fatalf("read %d of %d bytes corrupts bit %d", i, size, d.Bit)
 		}
 	}
+}
+
+// String names the operation.
+func (op IOOp) String() string {
+	switch op {
+	case OpWrite:
+		return "write"
+	case OpRead:
+		return "read"
+	case OpSync:
+		return "sync"
+	case OpRename:
+		return "rename"
+	}
+	return fmt.Sprintf("IOOp(%d)", int(op))
 }

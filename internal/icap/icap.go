@@ -135,9 +135,6 @@ func New(widthBits, clockHz int) *Port {
 	}
 }
 
-// Memory exposes the configuration memory model.
-func (p *Port) Memory() *ConfigMemory { return p.mem }
-
 // Stats returns a copy of the accumulated statistics.
 func (p *Port) Stats() Stats { return p.stats }
 

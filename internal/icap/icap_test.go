@@ -2,6 +2,7 @@ package icap
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -257,3 +258,15 @@ func TestStorageFetchTime(t *testing.T) {
 
 // FrameCount returns the number of distinct frames ever written.
 func (m *ConfigMemory) FrameCount() int { return len(m.frames) }
+
+// Memory exposes the configuration memory model.
+func (p *Port) Memory() *ConfigMemory { return p.mem }
+
+// String describes the storage.
+func (s *Storage) String() string {
+	mode := "staged"
+	if s.Streamed {
+		mode = "streamed"
+	}
+	return fmt.Sprintf("%s (%d MB/s, %v latency, %s)", s.Name, s.BytesPerSec>>20, s.Latency, mode)
+}

@@ -1,7 +1,6 @@
 package icap
 
 import (
-	"fmt"
 	"time"
 
 	"prpart/internal/bitstream"
@@ -65,13 +64,4 @@ func (p *Port) LoadTime(bs *bitstream.Bitstream) time.Duration {
 		return xfer
 	}
 	return fetch + xfer
-}
-
-// String describes the storage.
-func (s *Storage) String() string {
-	mode := "staged"
-	if s.Streamed {
-		mode = "streamed"
-	}
-	return fmt.Sprintf("%s (%d MB/s, %v latency, %s)", s.Name, s.BytesPerSec>>20, s.Latency, mode)
 }

@@ -86,12 +86,6 @@ type Job struct {
 // ID returns the job id.
 func (j *Job) ID() string { return j.id }
 
-// Key returns the job's solve key.
-func (j *Job) Key() string { return j.key }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // State returns the current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()

@@ -210,3 +210,6 @@ func TestJobShutdownCancelsRunning(t *testing.T) {
 		t.Fatalf("counts = %v", m.Counts())
 	}
 }
+
+// Done is closed when the job reaches a terminal state.
+func (j *Job) Done() <-chan struct{} { return j.done }

@@ -67,9 +67,6 @@ type Ticket struct {
 	el       *list.Element // non-nil while queued
 }
 
-// Tier returns the tier the ticket was enqueued on.
-func (t *Ticket) Tier() Tier { return t.tier }
-
 // tierQueue is the pure scheduling core: one FIFO per tier and a
 // bounded-bulk-share pick policy. Depth bounds live one layer up in the
 // Scheduler (they cover dispatched work too, not just waiting work). It

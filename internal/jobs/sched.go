@@ -100,9 +100,6 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 	return s
 }
 
-// Workers returns the pool size.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // NotePeerFill records that a request which would otherwise have
 // queued for a worker was answered by a cluster peer instead. The
 // counter (jobs.peer_fills) lets capacity planning see how much

@@ -109,19 +109,6 @@ func (s Set) SubsetOf(t Set) bool {
 	return true
 }
 
-// Equal reports whether s and t contain exactly the same modes.
-func (s Set) Equal(t Set) bool {
-	if len(s.refs) != len(t.refs) {
-		return false
-	}
-	for i := range s.refs {
-		if s.refs[i] != t.refs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string usable as a map key: the modes'
 // positional references (design.ModeRef.String) joined by commas.
 func (s Set) Key() string {

@@ -158,3 +158,16 @@ func TestSubsetIffUnionEqual(t *testing.T) {
 
 // IsEmpty reports whether the set has no modes.
 func (s Set) IsEmpty() bool { return len(s.refs) == 0 }
+
+// Equal reports whether s and t contain exactly the same modes.
+func (s Set) Equal(t Set) bool {
+	if len(s.refs) != len(t.refs) {
+		return false
+	}
+	for i := range s.refs {
+		if s.refs[i] != t.refs[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -103,46 +103,6 @@ func (t *Tracer) Emit(scope, name string, attrs ...Attr) {
 	}
 }
 
-// Events returns the buffered events in emission order (oldest first).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if t.total <= uint64(cap(t.ring)) {
-		return append(out, t.ring...)
-	}
-	first := int(t.total) % cap(t.ring)
-	out = append(out, t.ring[first:]...)
-	return append(out, t.ring[:first]...)
-}
-
-// Total returns the number of events ever emitted, including those the
-// ring has dropped.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped returns how many events fell out of the ring buffer.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total <= uint64(cap(t.ring)) {
-		return 0
-	}
-	return t.total - uint64(cap(t.ring))
-}
-
 // SinkErr returns the first sink write error, if any.
 func (t *Tracer) SinkErr() error {
 	if t == nil {

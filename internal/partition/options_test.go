@@ -22,9 +22,11 @@ func TestPinnedStaticHonoured(t *testing.T) {
 	if !res.Scheme.StaticSet().Contains(bpsk) {
 		t.Errorf("pinned mode %s not in static logic", d.ModeName(bpsk))
 	}
-	for ri := range res.Scheme.Regions {
-		if res.Scheme.Regions[ri].Modes().Contains(bpsk) {
-			t.Errorf("pinned mode %s also appears in region %d", d.ModeName(bpsk), ri)
+	for ri, r := range res.Scheme.Regions {
+		for _, p := range r.Parts {
+			if p.Set.Contains(bpsk) {
+				t.Errorf("pinned mode %s also appears in region %d", d.ModeName(bpsk), ri)
+			}
 		}
 	}
 }

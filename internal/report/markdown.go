@@ -33,24 +33,3 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// Markdown returns the Markdown rendering as a string.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	_ = t.WriteMarkdown(&b)
-	return b.String()
-}
-
-// WriteMarkdown renders the series as a Markdown table.
-func (s *Series) WriteMarkdown(w io.Writer) error {
-	t := NewTable(s.Title, append([]string{s.XLabel}, s.Names...)...)
-	for i, lbl := range s.Labels {
-		cells := make([]string, 0, len(s.Names)+1)
-		cells = append(cells, lbl)
-		for _, v := range s.Values[i] {
-			cells = append(cells, fmt.Sprintf("%g", v))
-		}
-		t.AddRow(cells...)
-	}
-	return t.WriteMarkdown(w)
-}

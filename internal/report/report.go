@@ -187,13 +187,6 @@ func (h *Histogram) Render(w io.Writer) error {
 	return err
 }
 
-// String renders the histogram to a string.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	_ = h.Render(&b)
-	return b.String()
-}
-
 // Series is a named sequence of y-values sharing an x-axis of labels,
 // the textual stand-in for the line plots of Figs. 7-8.
 type Series struct {
@@ -215,20 +208,6 @@ func (s *Series) Add(label string, values ...float64) {
 	row := make([]float64, len(s.Names))
 	copy(row, values)
 	s.Values = append(s.Values, row)
-}
-
-// Render writes the series as a table of values.
-func (s *Series) Render(w io.Writer) error {
-	t := NewTable(s.Title, append([]string{s.XLabel}, s.Names...)...)
-	for i, lbl := range s.Labels {
-		cells := make([]string, 0, len(s.Names)+1)
-		cells = append(cells, lbl)
-		for _, v := range s.Values[i] {
-			cells = append(cells, fmt.Sprintf("%.0f", v))
-		}
-		t.AddRow(cells...)
-	}
-	return t.Render(w)
 }
 
 // WriteCSV writes the series as CSV.

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -143,4 +145,46 @@ func TestMarkdownSeries(t *testing.T) {
 	if !strings.Contains(b.String(), "| p0 | 1 | 2 |") {
 		t.Errorf("series markdown wrong:\n%s", b.String())
 	}
+}
+
+// Markdown returns the Markdown rendering as a string.
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	_ = t.WriteMarkdown(&b)
+	return b.String()
+}
+
+// WriteMarkdown renders the series as a Markdown table.
+func (s *Series) WriteMarkdown(w io.Writer) error {
+	t := NewTable(s.Title, append([]string{s.XLabel}, s.Names...)...)
+	for i, lbl := range s.Labels {
+		cells := make([]string, 0, len(s.Names)+1)
+		cells = append(cells, lbl)
+		for _, v := range s.Values[i] {
+			cells = append(cells, fmt.Sprintf("%g", v))
+		}
+		t.AddRow(cells...)
+	}
+	return t.WriteMarkdown(w)
+}
+
+// Render writes the series as a table of values.
+func (s *Series) Render(w io.Writer) error {
+	t := NewTable(s.Title, append([]string{s.XLabel}, s.Names...)...)
+	for i, lbl := range s.Labels {
+		cells := make([]string, 0, len(s.Names)+1)
+		cells = append(cells, lbl)
+		for _, v := range s.Values[i] {
+			cells = append(cells, fmt.Sprintf("%.0f", v))
+		}
+		t.AddRow(cells...)
+	}
+	return t.Render(w)
+}
+
+// String renders the histogram to a string.
+func (h *Histogram) String() string {
+	var b strings.Builder
+	_ = h.Render(&b)
+	return b.String()
 }

@@ -59,15 +59,6 @@ func (r *Region) Frames() int {
 	return device.FramesForTiles(r.Tiles())
 }
 
-// Modes returns the union of the region's parts' mode sets.
-func (r *Region) Modes() modeset.Set {
-	var s modeset.Set
-	for _, p := range r.Parts {
-		s = s.Union(p.Set)
-	}
-	return s
-}
-
 // Label renders the region contents like the paper's Table III rows:
 // "M2, {M1, D2}".
 func (r *Region) Label(d *design.Design) string {

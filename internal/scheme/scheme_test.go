@@ -199,3 +199,12 @@ func TestRegionTilesQuantised(t *testing.T) {
 
 // NumRegions returns the number of reconfigurable regions.
 func (s *Scheme) NumRegions() int { return len(s.Regions) }
+
+// Modes returns the union of the region's parts' mode sets.
+func (r *Region) Modes() modeset.Set {
+	var s modeset.Set
+	for _, p := range r.Parts {
+		s = s.Union(p.Set)
+	}
+	return s
+}

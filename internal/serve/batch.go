@@ -144,11 +144,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // executeMember serves one distinct batch member through the same
 // pipeline as a synchronous solve — read tiers, then the lead and await
 // steps — with the solve queued on the bulk tier. Unlike handleSolve it
-// admits with EnqueueWait: a leading member blocks, bounded by its own
-// deadline, while the bulk tier is full instead of being refused, which
-// paces a large batch through a small queue. It runs in a handler
-// goroutine, never on a scheduler worker, so awaiting the flight cannot
-// deadlock the pool.
+// admits with EnqueueWait, which paces a large batch through a small
+// queue. The wait runs on its own goroutine under the flight's context,
+// so it lasts while any waiter does: the member's deadline withdraws the
+// member alone, in await. It runs in a handler goroutine, never on a
+// scheduler worker, so awaiting the flight cannot deadlock the pool.
 func (s *Server) executeMember(ctx context.Context, req *solveReq) BatchItem {
 	item := BatchItem{Key: req.key}
 	wctx, cancel := req.waitCtx(ctx)
@@ -157,19 +157,21 @@ func (s *Server) executeMember(ctx context.Context, req *solveReq) BatchItem {
 		item.Status, item.Cache, item.Result = http.StatusOK, tier, body
 		return item
 	}
-	call, leader, rf := s.lead(req, func(ctx context.Context, fn func(context.Context)) *refusal {
-		if _, err := s.sched.EnqueueWait(wctx, ctx, jobs.Bulk, fn); err != nil {
-			s.cRejected.Inc()
-			return &refusal{status: http.StatusServiceUnavailable, err: err}
-		}
+	var solve func(context.Context)
+	call, leader, _ := s.lead(req, func(_ context.Context, fn func(context.Context)) *refusal {
+		solve = fn
 		return nil
 	})
-	var err error
-	if rf != nil {
-		item.Status, err = rf.status, rf.err
-	} else {
-		item.Result, item.Cache, item.Status, err = s.await(wctx, call, leader)
+	if leader {
+		go func() {
+			if _, err := s.sched.EnqueueWait(call.ctx, call.ctx, jobs.Bulk, solve); err != nil {
+				s.cRejected.Inc()
+				s.flight.finish(call, nil, http.StatusServiceUnavailable, err)
+			}
+		}()
 	}
+	var err error
+	item.Result, item.Cache, item.Status, err = s.await(wctx, call, leader)
 	if err != nil {
 		item.Error = err.Error()
 	}

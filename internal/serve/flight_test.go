@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,5 +224,90 @@ func TestRequestAfterLastWaiterLeftSolvesAfresh(t *testing.T) {
 	}
 	if r := <-retry; r.code != 200 {
 		t.Fatalf("request after the last waiter left: status %d: %s", r.code, r.body)
+	}
+}
+
+// TestFollowerOutlivesBatchLeaderBlockedInAdmission: a batch member
+// that leads its flight while blocked in EnqueueWait (the bulk tier
+// filled after the batch arrived) hits its own deadline there. A
+// /v1/solve without a deadline that joined the flight meanwhile must
+// not inherit that deadline: the member reports 504, and the follower
+// gets 200 with a lone solve's bytes once bulk capacity frees.
+//
+// Which of the two members wins the tier's last slot is up to the
+// scheduler, so each gets a follower; the admitted one is the control.
+func TestFollowerOutlivesBatchLeaderBlockedInAdmission(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	o := obs.New()
+	srv := serve.New(serve.Config{
+		Workers: 1, BulkDepth: 2, Obs: o,
+		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
+			if d.Name == "occupier" {
+				entered <- struct{}{}
+				<-release
+			}
+			return core.RunContext(ctx, d, opts)
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	occupier := design.PaperExample()
+	occupier.Name = "occupier"
+	held := postAsync(ts, "/v1/solve/batch", batchBody(t, solveBody(t, occupier, "")))
+	<-entered // the lone worker runs the occupier: one bulk slot of two is taken
+
+	var members, bodies [][]byte
+	for _, name := range []string{"first", "second"} {
+		d := design.PaperExample()
+		d.Name = name
+		members = append(members, solveBody(t, d, `{"timeoutMs": 300}`))
+		bodies = append(bodies, solveBody(t, d, ""))
+	}
+	batch := postAsync(ts, "/v1/solve/batch", batchBody(t, members...))
+	// Both members lead a flight; one holds the last bulk slot, the other
+	// waits in EnqueueWait.
+	waitCond(t, func() bool {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Pending int `json:"pendingKeys"`
+		}
+		return json.NewDecoder(resp.Body).Decode(&h) == nil && h.Pending == 3 &&
+			o.Snapshot().Levels["jobs.queued.bulk"].Current == 1
+	})
+	var followers []<-chan asyncReply
+	for _, b := range bodies {
+		followers = append(followers, postAsync(ts, "/v1/solve", b))
+	}
+	waitCond(t, func() bool { return o.Snapshot().Counters["serve.coalesced"] == 2 })
+
+	br := <-batch
+	if br.code != 200 {
+		t.Fatalf("batch: status %d: %s", br.code, br.body)
+	}
+	for i, m := range decodeBatch(t, br.body).Results {
+		if m.Status != http.StatusGatewayTimeout || !strings.Contains(m.Error, "deadline exceeded") {
+			t.Errorf("member %d: status %d (%s), want 504 on its own deadline", i, m.Status, m.Error)
+		}
+	}
+	close(release)
+	if r := <-held; r.code != 200 {
+		t.Fatalf("occupier batch: status %d: %s", r.code, r.body)
+	}
+	for i, f := range followers {
+		r := <-f
+		if r.code != 200 {
+			t.Errorf("follower %d: status %d: %s", i, r.code, r.body)
+			continue
+		}
+		if !bytes.Equal(r.body, loneSolve(t, bodies[i])) {
+			t.Errorf("follower %d: bytes differ from a lone solve", i)
+		}
 	}
 }

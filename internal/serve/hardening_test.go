@@ -131,7 +131,7 @@ func TestStoreCorruptionFallsThroughToSolve(t *testing.T) {
 	if snap.Counters["store.corrupt_blobs"] != 1 {
 		t.Errorf("corrupt_blobs = %d, want 1", snap.Counters["store.corrupt_blobs"])
 	}
-	q, err := st2.Quarantined()
+	q, err := mfs.ReadDir("/data/quarantine")
 	if err != nil || len(q) != 1 {
 		t.Errorf("quarantine = %v, %v; want the damaged blob", q, err)
 	}

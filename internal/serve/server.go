@@ -241,9 +241,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Obs returns the service's instrument registry.
-func (s *Server) Obs() *obs.Obs { return s.obs }
-
 // Inflight returns the number of solves currently running a search.
 func (s *Server) Inflight() int64 { return s.lInflight.Value() }
 

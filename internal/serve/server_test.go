@@ -142,10 +142,11 @@ func TestSolveXMLAndJSONShareCache(t *testing.T) {
 func TestConcurrentMixedRequests(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
+	o := obs.New()
 	srv := serve.New(serve.Config{
 		Workers:    workers,
 		QueueDepth: 256, // roomy: this test exercises the bound, not 429s
-		Obs:        obs.New(),
+		Obs:        o,
 		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
 			n := cur.Add(1)
 			defer cur.Add(-1)
@@ -216,7 +217,7 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	if p := peak.Load(); p > workers {
 		t.Errorf("pool ran %d concurrent solves, bound is %d", p, workers)
 	}
-	if p := srv.Obs().Snapshot().Levels["serve.inflight"].Max; p > workers {
+	if p := o.Snapshot().Levels["serve.inflight"].Max; p > workers {
 		t.Errorf("inflight watermark %d exceeds worker bound %d", p, workers)
 	}
 }
@@ -247,10 +248,11 @@ func blockingSolver(release <-chan struct{}, entered chan<- struct{}, cancelled 
 func TestBackpressureQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
+	o := obs.New()
 	srv := serve.New(serve.Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Obs:        obs.New(),
+		Obs:        o,
 		Solver:     blockingSolver(release, entered, nil),
 	})
 	defer srv.Close()
@@ -277,7 +279,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	// sits in the queue (admitted, waiting for a worker slot).
 	<-entered
 	waitCond(t, func() bool {
-		return srv.Obs().Snapshot().Levels["serve.queue_depth"].Current == 1
+		return o.Snapshot().Levels["serve.queue_depth"].Current == 1
 	})
 
 	resp, body := post(t, ts, mk(2))
@@ -287,7 +289,7 @@ func TestBackpressureQueueFull(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
-	if n := srv.Obs().Snapshot().Counters["serve.rejected_queue_full"]; n != 1 {
+	if n := o.Snapshot().Counters["serve.rejected_queue_full"]; n != 1 {
 		t.Errorf("rejected counter = %d, want 1", n)
 	}
 

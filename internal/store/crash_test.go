@@ -70,7 +70,7 @@ func TestCrashWithFailedSyncLosesOnlyThatPut(t *testing.T) {
 	}
 	// The next put's operation sequence is: blob write (+0), blob sync
 	// (+1), blob rename (+2), ledger write (+3), ledger sync (+4).
-	inj.ScheduleOp(inj.Ops()+4, faults.IOSyncErr)
+	inj.ScheduleOp(inj.Stats().Ops+4, faults.IOSyncErr)
 	if err := st.Put("sha256:risky", []byte("unsafe"), VerdictPass); err != nil {
 		t.Fatalf("put with failed ledger fsync should still be accepted (degraded): %v", err)
 	}

@@ -80,8 +80,6 @@ func (f *FaultFS) Truncate(name string, size int64) error { return f.fs.Truncate
 
 func (f *FaultFS) Stat(name string) (int64, error) { return f.fs.Stat(name) }
 
-func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.fs.ReadDir(dir) }
-
 // faultHandle intercepts the data path of one open file.
 type faultHandle struct {
 	File

@@ -202,6 +202,8 @@ func (m *MemFS) Stat(name string) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
+// ReadDir lists the names (not paths) of the files directly in dir,
+// sorted, so tests can inspect the store's blob and quarantine areas.
 func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -427,13 +427,6 @@ func (s *Store) revokeLocked(h [32]byte, reason string, quarantine bool) {
 	s.o.Emit("store", "quarantine", obs.Str("blob", fmt.Sprintf("%x", h)), obs.Str("reason", reason))
 }
 
-// Quarantined lists the blob file names currently in quarantine.
-func (s *Store) Quarantined() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fs.ReadDir(s.quarantineDir())
-}
-
 // VerifyLedger re-reads the ledger and every live blob from disk and
 // checks the whole store end-to-end: every record must parse, the
 // replayed index must match the in-memory one, and every live blob

@@ -198,7 +198,7 @@ func TestQuarantineMovesBlobAndCounts(t *testing.T) {
 	if _, ok := st.Get("sha256:k2"); ok {
 		t.Fatal("second key still served a quarantined blob")
 	}
-	q, err := st.Quarantined()
+	q, err := mfs.ReadDir("/s/quarantine")
 	if err != nil {
 		t.Fatal(err)
 	}

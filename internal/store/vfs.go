@@ -4,7 +4,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // FS is the filesystem seam the store runs on. Production uses OSFS;
@@ -31,9 +30,6 @@ type FS interface {
 	// Stat returns the file's size, or an error satisfying
 	// errors.Is(err, fs.ErrNotExist) when it does not exist.
 	Stat(name string) (int64, error)
-	// ReadDir lists the names (not paths) of the entries in dir,
-	// sorted. A missing directory is an empty listing, not an error.
-	ReadDir(dir string) ([]string, error)
 }
 
 // File is an open handle on the FS.
@@ -73,22 +69,6 @@ func (osFS) Stat(name string) (int64, error) {
 		return 0, err
 	}
 	return fi.Size(), nil
-}
-
-func (osFS) ReadDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // join builds an FS path. The store always uses forward slashes

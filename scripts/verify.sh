@@ -11,7 +11,11 @@
 #         perfbench benchmark module
 # Tier 2  go vet + go test -race         — static checks and race detection,
 #         plus a 1-iteration Solve benchmark smoke run, the serving
-#         layer twice more, and the job-retention and drain tests x20
+#         layer twice more, the job-retention and drain tests x20, the
+#         link check (scripts/linkcheck: every function a non-test file
+#         declares is linked by a shipped binary or allowlisted) and the
+#         paper tables (prbench's default run must reproduce results/
+#         byte for byte)
 
 # Tier 3  go test -run 'Fault|Differential|Determinism' -count=5
 #         — re-runs the seeded fault-injection tests, the differential
@@ -99,9 +103,22 @@ if [ "$1" = "all" ]; then
 	# Two tests that once failed only under load: a job evicted by
 	# retention must never be live once Done fires, and a drain probe
 	# admitted before the drain must not hang the in-flight solve. The
-	# last two pin a job's withdrawal from a flight it leads: a DELETE
-	# cancels the job alone, its own deadline records 504.
-	go test -race -count=20 -run 'TestJobPersistAndLoad|TestGracefulShutdownDrains|TestJobOwnTimeoutIs504|TestFollowerOutlivesJobCancel' ./internal/jobs/ ./internal/serve/
+	# next two pin a job's withdrawal from a flight it leads: a DELETE
+	# cancels the job alone, its own deadline records 504. The last pins
+	# the same rule for a batch member waiting for bulk capacity.
+	go test -race -count=20 -run 'TestJobPersistAndLoad|TestGracefulShutdownDrains|TestJobOwnTimeoutIs504|TestFollowerOutlivesJobCancel|TestFollowerOutlivesBatchLeaderBlockedInAdmission' ./internal/jobs/ ./internal/serve/
+
+	echo "== tier 2: link check =="
+	go run ./scripts/linkcheck
+
+	echo "== tier 2: paper tables pinned to results/ =="
+	# The default prbench run (seed 1, n=1000) must regenerate every
+	# committed CSV and the text report byte for byte: a change that
+	# moves a paper number updates results/ in the same change.
+	tables=$(mktemp -d)
+	trap 'rm -rf "$tables"' EXIT
+	go run ./cmd/prbench -csv "$tables" > "$tables/prbench_all.txt"
+	diff -r -x 'BENCH_*' results "$tables"
 
 	echo "== tier 3: fault-injection, differential and determinism re-runs (x5) =="
 	go test -run 'Fault|Differential|Determinism' -count=5 \
