@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	prpartd [-addr 127.0.0.1:8377] [-workers N] [-queue N] [-cache N]
+//	prpartd [-addr 127.0.0.1:8377] [-workers N] [-cache N]
 //	        [-timeout 30s] [-solve-workers N] [-devices lib.json]
-//	        [-store DIR] [-shutdown-timeout 0s] [-cache-max-body N]
+//	        [-store DIR] [-drain 30s] [-cache-max-body N]
 //	        [-interactive-depth N] [-bulk-depth N] [-bulk-share N]
 //	        [-batch-max N] [-jitter-seed S] [-jobs-retention N]
 //	        [-peers URL,URL,...] [-self URL] [-ring-seed S] [-replicas N]
@@ -97,20 +97,18 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("prpartd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8377", "listen address (port 0 picks an ephemeral port)")
 	workers := fs.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "max queued solves before 429 (0 = 4x workers)")
 	cacheN := fs.Int("cache", 0, "solve cache entries (0 = default 256, negative disables)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request solve deadline (0 = none)")
 	solveWorkers := fs.Int("solve-workers", 0, "search parallelism inside one solve (0 = serial)")
 	devices := fs.String("devices", "", "custom device library (JSON, see internal/device.LoadLibrary)")
 	drain := fs.Duration("drain", 30*time.Second, "max time to drain in-flight solves on shutdown")
-	shutdownTimeout := fs.Duration("shutdown-timeout", 0, "overrides -drain when set: hard bound on graceful shutdown")
 	doCheck := fs.Bool("check", false, "verify every solve with the independent oracle before serving")
 	storeDir := fs.String("store", "", "persist solved results in this directory (empty = memory only)")
 	storeFaultSeed := fs.Int64("store-fault-seed", 1, "seed for injected store I/O faults (chaos testing)")
 	storeFaultRate := fs.Float64("store-fault-rate", 0, "per-op probability of injected store I/O faults (0 = off)")
 	cacheMaxBody := fs.Int64("cache-max-body", 0, "max bytes of a single cached result body (0 = unbounded)")
-	interactiveDepth := fs.Int("interactive-depth", 0, "admitted interactive solves before 429 (0 = workers+queue)")
-	bulkDepth := fs.Int("bulk-depth", 0, "admitted bulk solves before 503 (0 = workers+4x queue)")
+	interactiveDepth := fs.Int("interactive-depth", 0, "admitted interactive solves before 429 (0 = 5x workers)")
+	bulkDepth := fs.Int("bulk-depth", 0, "admitted bulk solves before 503 (0 = 17x workers)")
 	bulkShare := fs.Int("bulk-share", 0, "grant every Nth contended dequeue to the bulk tier (0 = default 4)")
 	batchMax := fs.Int("batch-max", 0, "max requests in one /v1/solve/batch body (0 = default 256)")
 	jitterSeed := fs.Int64("jitter-seed", 0, "seed for Retry-After jitter (deterministic backpressure hints)")
@@ -141,7 +139,6 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 	cfg := serve.Config{
 		Workers:        *workers,
-		QueueDepth:     *queue,
 		CacheEntries:   *cacheN,
 		DefaultTimeout: *timeout,
 		SolveWorkers:   *solveWorkers,
@@ -237,11 +234,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	go func() {
 		<-ctx.Done()
 		fmt.Fprintln(out, "prpartd: draining")
-		bound := *drain
-		if *shutdownTimeout > 0 {
-			bound = *shutdownTimeout
-		}
-		dctx, cancel := context.WithTimeout(context.Background(), bound)
+		dctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		// Refuse new solves first, let admitted ones finish, then close
 		// the listener and remaining keep-alive connections.
@@ -250,7 +243,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			// Drain deadline hit: say what is being abandoned, then abort
 			// the stragglers.
 			fmt.Fprintf(out, "prpartd: drain timed out after %s with %d solves running, %d queued; aborting\n",
-				bound, srv.Inflight(), srv.Queued())
+				*drain, srv.Inflight(), srv.Queued())
 			srv.Close()
 		}
 		if herr := httpSrv.Shutdown(dctx); herr != nil && derr == nil {

@@ -186,7 +186,7 @@ func mustJSON(t *testing.T, d *design.Design) string {
 	return buf.String()
 }
 
-// TestDaemonShutdownTimeoutLogsInflight: when -shutdown-timeout expires
+// TestDaemonShutdownTimeoutLogsInflight: when the -drain bound expires
 // with solves still running, the daemon logs how much work it is
 // abandoning before aborting.
 func TestDaemonShutdownTimeoutLogsInflight(t *testing.T) {
@@ -200,7 +200,7 @@ func TestDaemonShutdownTimeoutLogsInflight(t *testing.T) {
 		return serve.New(cfg)
 	}
 
-	base, out, stop := bootDaemon(t, []string{"-shutdown-timeout", "200ms"})
+	base, out, stop := bootDaemon(t, []string{"-drain", "200ms"})
 	body := caseStudyBody(t)
 	go func() {
 		// The response is a 503 from the hard abort (or a dropped
@@ -231,7 +231,7 @@ func TestDaemonShutdownTimeoutLogsInflight(t *testing.T) {
 	}
 
 	if err := stop(); err == nil {
-		t.Error("drain past -shutdown-timeout reported success")
+		t.Error("drain past -drain reported success")
 	}
 	want := "drain timed out after 200ms with 1 solves running, 0 queued; aborting"
 	if !strings.Contains(out.String(), want) {

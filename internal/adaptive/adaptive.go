@@ -10,6 +10,7 @@ package adaptive
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
@@ -233,7 +234,7 @@ func (m *Manager) SwitchTo(config int) (time.Duration, error) {
 		m.obs.switches.Inc()
 		if m.obs.o != nil {
 			m.obs.o.Emit("adaptive", "switch",
-				obs.Int("config", int64(config)), obs.Dur("cost", total))
+				slog.Int("config", config), slog.Duration("cost", total))
 		}
 		return total, nil
 	}
@@ -250,8 +251,8 @@ func (m *Manager) SwitchTo(config int) (time.Duration, error) {
 	m.obs.reconfig.Observe(ft)
 	if m.obs.o != nil {
 		m.obs.o.Emit("adaptive", "switch.fallback",
-			obs.Int("target", int64(config)), obs.Int("safe", int64(m.rec.SafeConfig)),
-			obs.Dur("cost", total+ft))
+			slog.Int("target", config), slog.Int("safe", m.rec.SafeConfig),
+			slog.Duration("cost", total+ft))
 	}
 	return total + ft, nil
 }

@@ -52,8 +52,6 @@ type Config struct {
 	Secret string
 	// Seed is the ring placement seed; all members must agree on it.
 	Seed int64
-	// VNodes is the virtual-node count per member (DefaultVNodes if 0).
-	VNodes int
 	// Replicas is how many owners hold each key (DefaultReplicas if 0,
 	// clamped to the member count).
 	Replicas int
@@ -117,7 +115,7 @@ type PeerHealth struct {
 
 // New builds the peer client. Self must be a ring member.
 func New(cfg Config) (*Peers, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VNodes, cfg.Seed)
+	ring, err := NewRing(cfg.Peers, DefaultVNodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

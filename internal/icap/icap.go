@@ -10,6 +10,7 @@ package icap
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"prpart/internal/bitstream"
@@ -258,7 +259,7 @@ func (p *Port) Load(bs *bitstream.Bitstream) (time.Duration, error) {
 	}
 	if p.obs.o != nil {
 		p.obs.o.Emit("icap", "load",
-			obs.Int("region", int64(bs.Region)), obs.Int("frames", int64(frames)), obs.Dur("took", d))
+			slog.Int("region", bs.Region), slog.Int("frames", frames), slog.Duration("took", d))
 	}
 	return d, nil
 }
@@ -273,7 +274,7 @@ func (p *Port) fail(cause *int, name string, d time.Duration) {
 	p.obs.fault.Observe(d)
 	p.obs.busy.Observe(d)
 	if p.obs.o != nil {
-		p.obs.o.Emit("icap", "load.fail", obs.Str("cause", name), obs.Dur("took", d))
+		p.obs.o.Emit("icap", "load.fail", slog.String("cause", name), slog.Duration("took", d))
 	}
 }
 

@@ -2,13 +2,13 @@ package icap
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"prpart/internal/bitstream"
 	"prpart/internal/device"
 	"prpart/internal/faults"
 	"prpart/internal/floorplan"
-	"prpart/internal/obs"
 )
 
 // AttachInjector makes subsequent Loads consult the injector for faults:
@@ -86,7 +86,7 @@ func (p *Port) Verify(bs *bitstream.Bitstream) (time.Duration, error) {
 			p.obs.verifyErrs.Inc()
 			if p.obs.o != nil {
 				p.obs.o.Emit("icap", "verify.fail",
-					obs.Str("bitstream", bs.Name), obs.Int("frame", int64(minor)))
+					slog.String("bitstream", bs.Name), slog.Int("frame", minor))
 			}
 			return d, fmt.Errorf("%w: frame %d of %s", ErrVerify, minor, bs.Name)
 		}

@@ -24,11 +24,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"prpart/internal/basepart"
 	"prpart/internal/connmat"
 	"prpart/internal/design"
-	"prpart/internal/obs"
 	"prpart/internal/partition"
 )
 
@@ -193,8 +193,8 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	ob.Counter("multilevel.matches").Add(int64(matches))
 	ob.Gauge("multilevel.coarse_nodes").Observe(int64(len(levels[len(levels)-1].nodes)))
 	ob.Emit("multilevel", "coarsen.done",
-		obs.Str("design", d.Name), obs.Int("levels", int64(len(levels))),
-		obs.Int("coarse_nodes", int64(len(levels[len(levels)-1].nodes))))
+		slog.String("design", d.Name), slog.Int("levels", len(levels)),
+		slog.Int("coarse_nodes", len(levels[len(levels)-1].nodes)))
 
 	// Solve the coarsest instance with the standard engine. Failure is
 	// not fatal: refinement can still start from singletons and repair
@@ -286,8 +286,8 @@ func SolveContext(ctx context.Context, d *design.Design, o Options) (*Result, er
 	}
 	ob.Counter("multilevel.polish_wins").Add(boolToInt(st.PolishWon))
 	ob.Emit("multilevel", "solve.done",
-		obs.Str("design", d.Name), obs.Int("total", int64(res.Summary.Total)),
-		obs.Int("chain_total", int64(st.ChainTotal)))
+		slog.String("design", d.Name), slog.Int("total", res.Summary.Total),
+		slog.Int("chain_total", st.ChainTotal))
 	return &Result{Partition: res, Stats: st}, nil
 }
 

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"log/slog"
 	"os"
 	"testing"
 	"time"
@@ -65,11 +67,13 @@ func BenchmarkEnabledTimer(b *testing.B) {
 	}
 }
 
-// BenchmarkEnabledEmit measures ring-buffer event emission (no sink).
+// BenchmarkEnabledEmit measures one event through the slog JSON
+// handler into a discarding sink.
 func BenchmarkEnabledEmit(b *testing.B) {
-	tr := NewTracer(256)
+	o := New()
+	o.SetTrace(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Emit("scope", "name", Int("i", int64(i)))
+		o.Emit("scope", "name", slog.Int("i", i))
 	}
 }

@@ -4,14 +4,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"runtime/pprof"
 )
 
 // Flags bundles the standard observability command-line flags shared by
-// prpart, prsim and prbench:
+// prpart, prsim, prbench and prpartd:
 //
-//	-trace file.jsonl   stream structured events to a JSONL file
+//	-trace file.jsonl   write trace events as log/slog JSON lines
 //	-pprof file.pprof   write a CPU profile for the run
 //	-metrics            dump all counters/timers at exit
 type Flags struct {
@@ -34,6 +35,9 @@ func (f *Flags) Enabled() bool {
 	return f.Trace != "" || f.Pprof != "" || f.Metrics
 }
 
+// createTrace opens the -trace file; tests substitute a failing writer.
+var createTrace = func(name string) (io.WriteCloser, error) { return os.Create(name) }
+
 // Start materialises the requested observability: it returns the Obs to
 // thread through the run (nil when nothing was requested, keeping the
 // fast path) and a stop function that flushes and closes everything,
@@ -43,16 +47,16 @@ func (f *Flags) Start(w io.Writer) (*Obs, func() error, error) {
 		return nil, func() error { return nil }, nil
 	}
 	o := New()
-	var traceFile *os.File
+	var traceFile io.WriteCloser
+	var sink *sinkWriter
 	if f.Trace != "" {
-		tf, err := os.Create(f.Trace)
+		tf, err := createTrace(f.Trace)
 		if err != nil {
 			return nil, nil, fmt.Errorf("obs: creating trace file: %w", err)
 		}
 		traceFile = tf
-		tr := NewTracer(0)
-		tr.SetSink(tf)
-		o.SetTracer(tr)
+		sink = &sinkWriter{w: tf}
+		o.SetTrace(slog.New(slog.NewJSONHandler(sink, nil)))
 	}
 	var pprofFile *os.File
 	if f.Pprof != "" {
@@ -81,7 +85,7 @@ func (f *Flags) Start(w io.Writer) (*Obs, func() error, error) {
 			}
 		}
 		if traceFile != nil {
-			if err := o.Tracer().SinkErr(); err != nil && firstErr == nil {
+			if err := sink.Err(); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("obs: trace sink: %w", err)
 			}
 			if err := traceFile.Close(); err != nil && firstErr == nil {

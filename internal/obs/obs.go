@@ -1,6 +1,6 @@
 // Package obs is the repo's zero-dependency observability layer: typed
-// counters, max-gauges and timers behind a named registry, plus a
-// structured event tracer (ring buffer with an optional JSONL sink).
+// counters, max-gauges and timers behind a named registry, plus
+// structured trace events written through a log/slog logger.
 //
 // Instrumentation is strictly passive — it never influences what the
 // search or the runtime simulator computes — and is near-free when
@@ -15,6 +15,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -253,7 +254,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return histogramBounds[len(histogramBounds)-1]
 }
 
-// Obs is a registry of named instruments plus an optional event tracer.
+// Obs is a registry of named instruments plus an optional trace logger.
 // The nil *Obs disables everything: instrument lookups return nil
 // instruments and Emit is a no-op, so a single nil propagates "off"
 // through an entire call tree.
@@ -264,10 +265,10 @@ type Obs struct {
 	levels     map[string]*Level
 	timers     map[string]*Timer
 	histograms map[string]*Histogram
-	tracer     *Tracer
+	trace      atomic.Pointer[slog.Logger]
 }
 
-// New returns an empty enabled registry with no tracer attached.
+// New returns an empty enabled registry with no trace logger attached.
 func New() *Obs {
 	return &Obs{
 		counters:   map[string]*Counter{},
@@ -352,34 +353,6 @@ func (o *Obs) Histogram(name string) *Histogram {
 		o.histograms[name] = h
 	}
 	return h
-}
-
-// SetTracer attaches an event tracer (nil detaches).
-func (o *Obs) SetTracer(t *Tracer) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.tracer = t
-	o.mu.Unlock()
-}
-
-// Tracer returns the attached tracer, or nil.
-func (o *Obs) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tracer
-}
-
-// Emit forwards a structured event to the attached tracer, if any.
-func (o *Obs) Emit(scope, name string, attrs ...Attr) {
-	if o == nil {
-		return
-	}
-	o.Tracer().Emit(scope, name, attrs...)
 }
 
 // Snapshot is a point-in-time copy of every instrument's value.

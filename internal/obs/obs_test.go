@@ -3,7 +3,10 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
+	"log/slog"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -30,8 +33,8 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	tm.Observe(time.Second)
 	tm.Time()()
-	o.Emit("scope", "name", Int("k", 1))
-	o.SetTracer(NewTracer(4))
+	o.Emit("scope", "name", slog.Int("k", 1))
+	o.SetTrace(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	if c.Value() != 0 || g.Value() != 0 || l.Value() != 0 || l.Max() != 0 ||
 		tm.Total() != 0 || tm.Count() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -40,11 +43,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Levels)+len(snap.Timers) != 0 {
 		t.Fatal("nil Obs snapshot must be empty")
 	}
-	var tr *Tracer
-	tr.Emit("s", "n")
-	if tr.Events() != nil || tr.Total() != 0 || tr.Dropped() != 0 || tr.SinkErr() != nil {
-		t.Fatal("nil Tracer must read empty")
-	}
+	New().Emit("s", "n") // no trace logger attached: dropped
 }
 
 func TestCountersGaugesTimers(t *testing.T) {
@@ -184,45 +183,22 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracerRingAndOrder(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Emit("test", "ev", Int("i", int64(i)))
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
-	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", tr.Dropped())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	for k, ev := range evs {
-		if want := uint64(6 + k); ev.Seq != want {
-			t.Fatalf("event %d has seq %d, want %d (oldest-first order)", k, ev.Seq, want)
-		}
-	}
-}
-
 func TestTracerJSONLSink(t *testing.T) {
 	var b strings.Builder
-	tr := NewTracer(0)
-	tr.SetSink(&b)
-	tr.Emit("icap", "load", Int("frames", 42), Str("region", "prr1"), Dur("took", time.Microsecond))
-	tr.Emit("icap", "load", Int("frames", 7))
-	if err := tr.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
+	o := New()
+	o.SetTrace(slog.New(slog.NewJSONHandler(&b, nil)))
+	o.Emit("icap", "load", slog.Int("frames", 42), slog.String("region", "prr1"), slog.Duration("took", time.Microsecond))
+	o.Emit("icap", "load", slog.Int("frames", 7))
 	sc := bufio.NewScanner(strings.NewReader(b.String()))
 	n := 0
 	for sc.Scan() {
-		var ev Event
+		var ev struct {
+			Msg, Scope string
+		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d is not JSON: %v", n, err)
 		}
-		if ev.Scope != "icap" || ev.Name != "load" {
+		if ev.Scope != "icap" || ev.Msg != "load" {
 			t.Fatalf("line %d decoded wrong: %+v", n, ev)
 		}
 		n++
@@ -271,7 +247,7 @@ func TestCLIFlagsTraceAndMetrics(t *testing.T) {
 		t.Fatal("enabled flags must yield a live Obs")
 	}
 	o.Counter("demo").Add(3)
-	o.Emit("demo", "event", Int("v", 1))
+	o.Emit("demo", "event", slog.Int("v", 1))
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,42 +260,58 @@ func TestCLIFlagsTraceAndMetrics(t *testing.T) {
 	}
 }
 
-// Events returns the buffered events in emission order (oldest first).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
+// failSecond is a trace sink whose first write succeeds and whose later
+// writes fail; it counts every call.
+type failSecond struct{ calls int }
+
+func (f *failSecond) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > 1 {
+		return 0, errors.New("disk full")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if t.total <= uint64(cap(t.ring)) {
-		return append(out, t.ring...)
-	}
-	first := int(t.total) % cap(t.ring)
-	out = append(out, t.ring[first:]...)
-	return append(out, t.ring[:first]...)
+	return len(p), nil
 }
 
-// Total returns the number of events ever emitted, including those the
-// ring has dropped.
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
+func (f *failSecond) Close() error { return nil }
 
-// Dropped returns how many events fell out of the ring buffer.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
+// TestCLITraceSinkErrorIsKept: once the -trace sink fails, it is not
+// written again, Emit from several goroutines keeps returning, and the
+// stop function reports the first failure.
+func TestCLITraceSinkErrorIsKept(t *testing.T) {
+	sink := &failSecond{}
+	orig := createTrace
+	createTrace = func(string) (io.WriteCloser, error) { return sink, nil }
+	defer func() { createTrace = orig }()
+
+	o, stop, err := (&Flags{Trace: "t.jsonl"}).Start(io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total <= uint64(cap(t.ring)) {
-		return 0
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				o.Emit("test", "ev", slog.Int("i", i))
+			}
+		}()
 	}
-	return t.total - uint64(cap(t.ring))
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Emit blocked after the sink failed")
+	}
+	if sink.calls != 2 {
+		t.Errorf("sink written %d times, want 2 (no write after the failure)", sink.calls)
+	}
+	err = stop()
+	if err == nil || !strings.Contains(err.Error(), "obs: trace sink: disk full") {
+		t.Fatalf("stop = %v, want the obs: trace sink error", err)
+	}
 }

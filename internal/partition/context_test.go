@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"testing"
 
 	"prpart/internal/design"
@@ -132,9 +133,8 @@ func TestSolveContextCancelMidUniform(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	o := obs.New()
-	tr := obs.NewTracer(16)
 	starts := 0
-	tr.SetSink(writerFunc(func(p []byte) (int, error) {
+	o.SetTrace(slog.New(slog.NewJSONHandler(writerFunc(func(p []byte) (int, error) {
 		if bytes.Contains(p, []byte("search.start")) {
 			starts++
 			if starts == 2 {
@@ -142,8 +142,7 @@ func TestSolveContextCancelMidUniform(t *testing.T) {
 			}
 		}
 		return len(p), nil
-	}))
-	o.SetTracer(tr)
+	}), nil)))
 	res, err := partition.SolveContext(ctx, d, partition.Options{
 		Budget:            design.CaseStudyBudget(),
 		TransitionWeights: w,

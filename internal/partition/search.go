@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sync"
 
@@ -261,7 +262,7 @@ func solveOnce(ctx context.Context, d *design.Design, opts Options) (*Result, er
 	stopSearch()
 	if err := ctx.Err(); err != nil {
 		opts.Obs.Emit("partition", "search.cancelled",
-			obs.Str("design", d.Name), obs.Str("cause", err.Error()))
+			slog.String("design", d.Name), slog.String("cause", err.Error()))
 		return nil, fmt.Errorf("partition: search cancelled: %w", err)
 	}
 	return bestResult(d, opts, snaps, counts)
@@ -317,7 +318,7 @@ func candidateSets(d *design.Design, opts Options) (*connmat.Matrix, []*cover.Ca
 	stopCluster()
 	opts.Obs.Counter("partition.candidate_sets").Add(int64(len(sets)))
 	opts.Obs.Emit("partition", "search.start",
-		obs.Str("design", d.Name), obs.Int("candidate_sets", int64(len(sets))))
+		slog.String("design", d.Name), slog.Int("candidate_sets", len(sets)))
 
 	return m, sets, nil
 }
@@ -337,13 +338,13 @@ func bestResult(d *design.Design, opts Options, snaps []*snapshot, counts []int)
 	opts.Obs.Counter("partition.states").Add(int64(states))
 	if best == nil {
 		opts.Obs.Emit("partition", "search.done",
-			obs.Str("design", d.Name), obs.Int("states", int64(states)),
-			obs.Str("result", "no-scheme"))
+			slog.String("design", d.Name), slog.Int("states", states),
+			slog.String("result", "no-scheme"))
 		return nil, ErrNoScheme
 	}
 	opts.Obs.Emit("partition", "search.done",
-		obs.Str("design", d.Name), obs.Int("states", int64(states)),
-		obs.Int("best_cost", best.cost), obs.Int("regions", int64(len(best.st.groups))))
+		slog.String("design", d.Name), slog.Int("states", states),
+		slog.Int64("best_cost", best.cost), slog.Int("regions", len(best.st.groups)))
 	return best.result(len(snaps), states)
 }
 

@@ -164,8 +164,9 @@ func (s *Server) executeMember(ctx context.Context, req *solveReq) BatchItem {
 	})
 	if leader {
 		go func() {
+			// EnqueueWait retries a full tier itself, so an error here
+			// is the flight's end or a closed scheduler, not a refusal.
 			if _, err := s.sched.EnqueueWait(call.ctx, call.ctx, jobs.Bulk, solve); err != nil {
-				s.cRejected.Inc()
 				s.flight.finish(call, nil, http.StatusServiceUnavailable, err)
 			}
 		}()

@@ -249,7 +249,7 @@ func TestBatchBackpressure503(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
 	srv := serve.New(serve.Config{
-		Workers: 1, QueueDepth: 1, BulkDepth: 1,
+		Workers: 1, InteractiveDepth: 2, BulkDepth: 1,
 		Solver: blockingSolver(release, entered, nil),
 	})
 	defer srv.Close()
@@ -276,6 +276,73 @@ func TestBatchBackpressure503(t *testing.T) {
 		t.Error("503 without Retry-After")
 	}
 	close(release)
+}
+
+// TestBatchMemberDeadlineInAdmissionIsNoRefusal: batch members whose
+// own deadline passes while one of them waits for bulk capacity report
+// 504, and nothing counts as refused: EnqueueWait retries a full tier
+// itself, so its ending without admission is a withdrawal, not a
+// rejection.
+func TestBatchMemberDeadlineInAdmissionIsNoRefusal(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	o := obs.New()
+	srv := serve.New(serve.Config{
+		Workers: 1, BulkDepth: 2, Obs: o,
+		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
+			if d.Name == "occupier" {
+				entered <- struct{}{}
+				<-release
+			}
+			return core.RunContext(ctx, d, opts)
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	pending := func() int {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			return -1
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Pending int `json:"pendingKeys"`
+		}
+		if json.NewDecoder(resp.Body).Decode(&h) != nil {
+			return -1
+		}
+		return h.Pending
+	}
+
+	occupier := design.PaperExample()
+	occupier.Name = "occupier"
+	held := postAsync(ts, "/v1/solve/batch", batchBody(t, solveBody(t, occupier, "")))
+	<-entered // the lone worker runs the occupier: one bulk slot of two is taken
+
+	var members [][]byte
+	for _, name := range []string{"first", "second"} {
+		d := design.PaperExample()
+		d.Name = name
+		members = append(members, solveBody(t, d, `{"timeoutMs": 300}`))
+	}
+	r, b := postPath(t, ts, "/v1/solve/batch", batchBody(t, members...))
+	if r.StatusCode != 200 {
+		t.Fatalf("batch: status %d: %s", r.StatusCode, b)
+	}
+	for i, m := range decodeBatch(t, b).Results {
+		if m.Status != http.StatusGatewayTimeout {
+			t.Errorf("member %d: status %d (%s), want 504 on its own deadline", i, m.Status, m.Error)
+		}
+	}
+	close(release)
+	if r := <-held; r.code != 200 {
+		t.Fatalf("occupier batch: status %d: %s", r.code, r.body)
+	}
+	waitCond(t, func() bool { return pending() == 0 })
+	if n := o.Snapshot().Counters["serve.rejected_queue_full"]; n != 0 {
+		t.Errorf("serve.rejected_queue_full = %d, want 0: no request was refused", n)
+	}
 }
 
 // TestBatchSharesCacheWithSolve runs a batch first and requires the

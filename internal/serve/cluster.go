@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 
 	"prpart/internal/cluster"
-	"prpart/internal/obs"
 	"prpart/internal/store"
 )
 
@@ -94,7 +94,7 @@ func (s *Server) importPeerBody(key string, body []byte, verdict uint8) {
 		v = store.VerdictPass
 	}
 	if err := s.store.Put(key, body, v); err != nil {
-		s.obs.Emit("serve", "store.peer_put_error", obs.Str("key", key), obs.Str("err", err.Error()))
+		s.obs.Emit("serve", "store.peer_put_error", slog.String("key", key), slog.String("err", err.Error()))
 	}
 }
 

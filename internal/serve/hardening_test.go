@@ -241,7 +241,7 @@ func TestBulkShedForLatencySensitive(t *testing.T) {
 	o := obs.New()
 	var entered atomic.Int64
 	srv := serve.New(serve.Config{
-		Workers: 1, QueueDepth: 1, Obs: o,
+		Workers: 1, InteractiveDepth: 2, BulkDepth: 5, Obs: o,
 		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
 			if d.Name == design.VideoReceiver().Name {
 				entered.Add(1)

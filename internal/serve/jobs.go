@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 
 	"prpart/internal/jobs"
-	"prpart/internal/obs"
 	"prpart/internal/store"
 )
 
@@ -267,7 +267,7 @@ func (s *Server) persistJob(rec jobs.Record) {
 		return
 	}
 	if err := s.store.Put("job:"+rec.ID, b, store.VerdictUnchecked); err != nil {
-		s.obs.Emit("serve", "store.job_put_error", obs.Str("id", rec.ID), obs.Str("err", err.Error()))
+		s.obs.Emit("serve", "store.job_put_error", slog.String("id", rec.ID), slog.String("err", err.Error()))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -33,16 +34,13 @@ type Config struct {
 	// Workers bounds concurrent solves; excess requests queue.
 	// Default: GOMAXPROCS.
 	Workers int
-	// QueueDepth sizes the default per-tier admission bounds (see
-	// InteractiveDepth / BulkDepth). Default: 4×Workers.
-	QueueDepth int
 	// InteractiveDepth bounds how many latency-sensitive solves may be
 	// admitted (queued or running) at once; overflow is refused with 429
-	// and a Retry-After header. Default: Workers+QueueDepth.
+	// and a Retry-After header. Default: 5×Workers.
 	InteractiveDepth int
 	// BulkDepth is the same bound for the bulk tier (batch members,
 	// async jobs, bulk-marked solves); overflow gets 503. Bulk work
-	// tolerates queueing, so its default is deeper: Workers+4×QueueDepth.
+	// tolerates queueing, so its default is deeper: 17×Workers.
 	BulkDepth int
 	// BulkShare is the guaranteed bulk fraction of contended dequeues:
 	// when both tiers have waiters, every BulkShare-th grant goes to
@@ -143,14 +141,11 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
 	if cfg.InteractiveDepth <= 0 {
-		cfg.InteractiveDepth = cfg.Workers + cfg.QueueDepth
+		cfg.InteractiveDepth = 5 * cfg.Workers
 	}
 	if cfg.BulkDepth <= 0 {
-		cfg.BulkDepth = cfg.Workers + 4*cfg.QueueDepth
+		cfg.BulkDepth = 17 * cfg.Workers
 	}
 	if cfg.BulkShare <= 0 {
 		cfg.BulkShare = 4
@@ -501,7 +496,7 @@ func (s *Server) solveGuarded(ctx context.Context, req *solveReq) (body []byte, 
 	defer func() {
 		if r := recover(); r != nil {
 			s.cPanics.Inc()
-			s.obs.Emit("serve", "solve.panic", obs.Str("key", req.key), obs.Str("panic", fmt.Sprint(r)))
+			s.obs.Emit("serve", "solve.panic", slog.String("key", req.key), slog.String("panic", fmt.Sprint(r)))
 			body, status, err = nil, http.StatusInternalServerError, fmt.Errorf("serve: solver panicked: %v", r)
 		}
 	}()
@@ -520,7 +515,7 @@ func (s *Server) persist(key string, body []byte, checked bool) {
 		v = store.VerdictPass
 	}
 	if err := s.store.Put(key, body, v); err != nil {
-		s.obs.Emit("serve", "store.put_error", obs.Str("key", key), obs.Str("err", err.Error()))
+		s.obs.Emit("serve", "store.put_error", slog.String("key", key), slog.String("err", err.Error()))
 	}
 }
 
@@ -537,7 +532,7 @@ func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck b
 	s.cSolves.Inc()
 	stop := s.tSolve.Time()
 	defer stop()
-	s.obs.Emit("serve", "solve.start", obs.Str("key", key), obs.Str("design", sp.Design.Name))
+	s.obs.Emit("serve", "solve.start", slog.String("key", key), slog.String("design", sp.Design.Name))
 
 	copts := sp.CoreOptions(s.cfg.SolveWorkers, s.obs)
 	copts.Library = s.cfg.Library
@@ -545,12 +540,12 @@ func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck b
 	res, err := s.solver(ctx, sp.Design, copts)
 	s.sched.ObserveWork(time.Since(begin))
 	if err != nil {
-		s.obs.Emit("serve", "solve.error", obs.Str("key", key), obs.Str("err", err.Error()))
+		s.obs.Emit("serve", "solve.error", slog.String("key", key), slog.String("err", err.Error()))
 		return nil, errStatus(err), err
 	}
 	if docheck {
 		if verr := verifyResult(res); verr != nil {
-			s.obs.Emit("serve", "solve.check_failed", obs.Str("key", key), obs.Str("err", verr.Error()))
+			s.obs.Emit("serve", "solve.check_failed", slog.String("key", key), slog.String("err", verr.Error()))
 			return nil, http.StatusInternalServerError, verr
 		}
 	}
@@ -565,8 +560,8 @@ func (s *Server) solve(ctx context.Context, key string, sp *SolveSpec, docheck b
 	if err := WriteResult(&buf, BuildResult(res, plan)); err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	s.obs.Emit("serve", "solve.done", obs.Str("key", key),
-		obs.Int("total_frames", int64(res.Summary.Total)), obs.Int("bytes", int64(buf.Len())))
+	s.obs.Emit("serve", "solve.done", slog.String("key", key),
+		slog.Int("total_frames", res.Summary.Total), slog.Int("bytes", buf.Len()))
 	return buf.Bytes(), http.StatusOK, nil
 }
 

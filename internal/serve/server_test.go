@@ -144,9 +144,11 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	var cur, peak atomic.Int64
 	o := obs.New()
 	srv := serve.New(serve.Config{
-		Workers:    workers,
-		QueueDepth: 256, // roomy: this test exercises the bound, not 429s
-		Obs:        o,
+		Workers: workers,
+		// Roomy: this test exercises the bound, not 429s.
+		InteractiveDepth: workers + 256,
+		BulkDepth:        workers + 4*256,
+		Obs:              o,
 		Solver: func(ctx context.Context, d *design.Design, opts core.Options) (*core.Result, error) {
 			n := cur.Add(1)
 			defer cur.Add(-1)
@@ -241,7 +243,7 @@ func blockingSolver(release <-chan struct{}, entered chan<- struct{}, cancelled 
 	}
 }
 
-// TestBackpressureQueueFull saturates a Workers=1, QueueDepth=1 server
+// TestBackpressureQueueFull saturates a Workers=1, InteractiveDepth=2 server
 // with blocked solves and requires the overflow request to be refused
 // with 429 and a Retry-After header — then accepted again once the
 // queue drains.
@@ -250,10 +252,11 @@ func TestBackpressureQueueFull(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	o := obs.New()
 	srv := serve.New(serve.Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Obs:        o,
-		Solver:     blockingSolver(release, entered, nil),
+		Workers:          1,
+		InteractiveDepth: 2,
+		BulkDepth:        5,
+		Obs:              o,
+		Solver:           blockingSolver(release, entered, nil),
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -303,6 +306,55 @@ func TestBackpressureQueueFull(t *testing.T) {
 	resp, body = post(t, ts, mk(2))
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-drain request: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
+// TestDefaultInteractiveDepth pins the default interactive admission
+// bound at 5×Workers: with the lone worker held, five distinct solves
+// are admitted and the sixth is refused with 429.
+func TestDefaultInteractiveDepth(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 8)
+	o := obs.New()
+	srv := serve.New(serve.Config{Workers: 1, Obs: o, Solver: blockingSolver(release, entered, nil)})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	mk := func(i int, opts string) []byte {
+		d := design.PaperExample()
+		d.Name = fmt.Sprintf("depth-%d", i)
+		return solveBody(t, d, opts)
+	}
+	results := make(chan int, 5)
+	for i := 0; i < 5; i++ {
+		body := mk(i, "")
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				results <- -1
+				return
+			}
+			resp.Body.Close()
+			results <- resp.StatusCode
+		}()
+	}
+	<-entered
+	waitCond(t, func() bool {
+		return o.Snapshot().Levels["serve.queue_depth"].Current == 4
+	})
+	// The deadline only bounds a wrong admission; it is not the refusal.
+	if resp, body := post(t, ts, mk(5, `{"timeoutMs": 2000}`)); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("sixth request: status %d (%s), want 429", resp.StatusCode, body)
+	}
+	if n := o.Snapshot().Counters["serve.rejected_queue_full"]; n != 1 {
+		t.Errorf("serve.rejected_queue_full = %d, want 1", n)
+	}
+	close(release)
+	for i := 0; i < 5; i++ {
+		if code := <-results; code != 200 {
+			t.Errorf("admitted request finished with %d, want 200", code)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log/slog"
 
 	"sync"
 
@@ -137,9 +138,9 @@ func Open(cfg Config) (*Store, error) {
 	s.lEntries.Add(int64(len(s.index)))
 	s.rec.Keys = len(s.index)
 	s.o.Emit("store", "open",
-		obs.Int("records", int64(s.rec.Records)),
-		obs.Int("keys", int64(s.rec.Keys)),
-		obs.Int("truncated_bytes", s.rec.TruncatedBytes))
+		slog.Int("records", s.rec.Records),
+		slog.Int("keys", s.rec.Keys),
+		slog.Int64("truncated_bytes", s.rec.TruncatedBytes))
 	return s, nil
 }
 
@@ -184,9 +185,9 @@ func (s *Store) replayLedger() error {
 		s.rec.TruncatedBytes = size - int64(goodLen)
 		s.cLedgerTrunc.Inc()
 		s.o.Emit("store", "ledger.truncated",
-			obs.Int("at", int64(goodLen)),
-			obs.Int("dropped_bytes", s.rec.TruncatedBytes),
-			obs.Str("cause", fmt.Sprint(tailErr)))
+			slog.Int("at", goodLen),
+			slog.Int64("dropped_bytes", s.rec.TruncatedBytes),
+			slog.String("cause", fmt.Sprint(tailErr)))
 	}
 	return nil
 }
@@ -268,14 +269,14 @@ func (s *Store) Put(key string, body []byte, verdict Verdict) error {
 	if s.refs[h] == 0 {
 		if err := s.writeBlob(h, body); err != nil {
 			s.cPutErrors.Inc()
-			s.o.Emit("store", "put.blob_error", obs.Str("key", key), obs.Str("err", err.Error()))
+			s.o.Emit("store", "put.blob_error", slog.String("key", key), slog.String("err", err.Error()))
 			return fmt.Errorf("store: writing blob: %w", err)
 		}
 	}
 	rec := Record{Kind: RecordPut, Verdict: verdict, Size: int64(len(body)), Blob: h, Key: key}
 	if err := s.appendLocked(rec); err != nil {
 		s.cPutErrors.Inc()
-		s.o.Emit("store", "put.ledger_error", obs.Str("key", key), obs.Str("err", err.Error()))
+		s.o.Emit("store", "put.ledger_error", slog.String("key", key), slog.String("err", err.Error()))
 		return err
 	}
 	s.applyRecord(rec)
@@ -335,7 +336,7 @@ func (s *Store) appendLocked(rec Record) error {
 		s.cLedgerWriteErrs.Inc()
 		if terr := s.fs.Truncate(s.ledgerPath(), s.off); terr != nil {
 			s.broken = true
-			s.o.Emit("store", "ledger.broken", obs.Str("err", fmt.Sprint(terr)))
+			s.o.Emit("store", "ledger.broken", slog.String("err", fmt.Sprint(terr)))
 			return fmt.Errorf("store: ledger write failed (%v) and truncation repair failed (%v); persistence disabled", werr, terr)
 		}
 		if werr == nil {
@@ -346,7 +347,7 @@ func (s *Store) appendLocked(rec Record) error {
 	s.off += int64(len(buf))
 	if serr := s.ledger.Sync(); serr != nil {
 		s.cLedgerSyncErrs.Inc()
-		s.o.Emit("store", "ledger.sync_error", obs.Str("err", serr.Error()))
+		s.o.Emit("store", "ledger.sync_error", slog.String("err", serr.Error()))
 	}
 	return nil
 }
@@ -420,11 +421,11 @@ func (s *Store) revokeLocked(h [32]byte, reason string, quarantine bool) {
 		if err := s.appendLocked(rec); err != nil {
 			// The revocation is effective in memory; a restart may
 			// resurrect the key, rediscover the damage and revoke again.
-			s.o.Emit("store", "quarantine.record_error", obs.Str("key", key), obs.Str("err", err.Error()))
+			s.o.Emit("store", "quarantine.record_error", slog.String("key", key), slog.String("err", err.Error()))
 		}
 	}
 	delete(s.refs, h)
-	s.o.Emit("store", "quarantine", obs.Str("blob", fmt.Sprintf("%x", h)), obs.Str("reason", reason))
+	s.o.Emit("store", "quarantine", slog.String("blob", fmt.Sprintf("%x", h)), slog.String("reason", reason))
 }
 
 // VerifyLedger re-reads the ledger and every live blob from disk and
